@@ -165,13 +165,15 @@ def cmd_planar_iso(args):
     if verdict.witness is not None:
         w = verdict.witness
         report["witness"] = {
-            "pattern_vertices": w["pattern"].vertex_count,
-            "pattern_edges": [list(e)
-                              for e in w["pattern"].undirected_edges()],
+            "pattern_vertices": None, "pattern_edges": None,
             "basepoint": w["basepoint"],
             "orbit1": sorted(map(_vertex_key, w["orbit1"])),
             "orbit2": sorted(map(_vertex_key, w["orbit2"])),
             "count1": w["count1"], "count2": w["count2"]}
+        if w["pattern"] is not None:    # else the counts are class sizes
+            report["witness"]["pattern_vertices"] = w["pattern"].vertex_count
+            report["witness"]["pattern_edges"] = [
+                list(e) for e in w["pattern"].undirected_edges()]
     return report, 0
 
 

@@ -19,10 +19,11 @@ from fractions import Fraction
 import itertools
 import random
 
-from .graphs import (FiniteGraph, ValidationError, ball, classical_aut)
+from .graphs import (DEFAULT_AUT_LIMIT, FiniteGraph, ValidationError, ball,
+                     classical_aut)
 from .bilabeled import BiLabeled, circular_gadget
 from .hommat import _enumerate_homs, hom_matrix
-from .ratmat import RatSpan, invert_fraction_matrix
+from .ratmat import RatSpan
 
 
 # ---------------------------------------------------------------------------
@@ -123,47 +124,6 @@ def _double_square_diag_graph():
     which separates pair classes the single pattern cannot."""
     return FiniteGraph(7, [(0, 1), (1, 3), (3, 2), (2, 0), (1, 2),
                            (1, 4), (4, 6), (6, 5), (5, 1), (4, 5)])
-
-
-def _count_maps(graph, pins, edge_weight, neighbor_fn):
-    """Sum over all maps V(graph) -> target of the product of edge
-    weights, extending the pinned assignment.  edge_weight(u, w, iu, iw)
-    returns the weight of mapping edge (u, w) to (iu, iw); support_fn
-    style pruning comes from edge_weight returning candidate lists via
-    the companion argument below."""
-    order = [v for v in range(graph.vertex_count) if v not in pins]
-    phi = dict(pins)
-    total = [0]
-
-    def extend(idx, acc):
-        if acc == 0:
-            return
-        if idx == len(order):
-            total[0] += acc
-            return
-        v = order[idx]
-        assigned = [w for w in graph.neighbors(v) if w in phi]
-        if assigned:
-            cands = set(neighbor_fn(phi[assigned[0]]))
-            for w in assigned[1:]:
-                cands |= set(neighbor_fn(phi[w]))
-        else:
-            raise ValidationError("pattern component without pinned vertex")
-        for c in sorted(cands):
-            w_acc = acc
-            ok = True
-            for w in assigned:
-                w_acc *= edge_weight(v, w, c, phi[w])
-                if w_acc == 0:
-                    ok = False
-                    break
-            if ok:
-                phi[v] = c
-                extend(idx + 1, w_acc)
-                del phi[v]
-
-    extend(0, 1)
-    return total[0]
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +894,10 @@ def quantum_orbits(target, category="all", window=None, cross_check=True):
     if fe.scene.is_finite:
         exactness = "exact"
         compact = True
-        if category == "all" and cross_check:
+        # the brute-force automorphism search is optional; beyond its
+        # limit the cross-check is reported as not made (None)
+        if (category == "all" and cross_check
+                and fe.scene.graph.vertex_count <= DEFAULT_AUT_LIMIT):
             _auts, orb = classical_aut(fe.scene.graph)
             matches = sorted(map(sorted, ordered)) == sorted(
                 map(sorted, orb))

@@ -19,7 +19,8 @@ import itertools
 import numpy as np
 import networkx as nx
 
-from .graphs import FiniteGraph, ValidationError, classical_aut
+from .graphs import (BudgetExceeded, FiniteGraph, ValidationError,
+                     classical_aut)
 from .bilabeled import BiLabeled
 from .hommat import hom_matrix
 from .ratmat import RatSpan
@@ -74,35 +75,49 @@ def pointed_hom_count(pattern, x, target, i):
     return hm.entries.get(((i,), ()), 0)
 
 
+# Bytes of the largest pattern tensor count_signatures may allocate; an
+# n-vertex pattern on a q-vertex graph takes q**n.  512 MiB admits up to
+# 28 vertices at depth 6.
+SIGNATURE_BUDGET_BYTES = 1 << 29
+
+
 def _pattern_tensor(pattern, adj):
-    """Homomorphism tensor: entry (v_1..v_k) counts edge-respecting maps."""
+    """0/1 tensor whose entry (v_1..v_n) is 1 when v respects every edge."""
     q = adj.shape[0]
     n = pattern.vertex_count
-    t = np.ones((q,) * n, dtype=np.int64)
+    t = np.ones((q,) * n, dtype=bool)
     for (u, v) in pattern.undirected_edges():
         shape = tuple(q if k in (u, v) else 1 for k in range(n))
-        t = t * adj.reshape(shape)
+        np.logical_and(t, adj.reshape(shape), out=t)
     return t
 
 
 def count_signatures(g, depth):
-    """Vector of pointed planar homomorphism counts for every vertex."""
+    """Vector of pointed planar homomorphism counts for every vertex.
+
+    Coordinate k of each vector is the count of pointed_patterns(depth)[k].
+    Raises BudgetExceeded, before allocating, when a pattern tensor would
+    exceed SIGNATURE_BUDGET_BYTES."""
+    pointed = pointed_patterns(depth)
     q = g.vertex_count
-    adj = np.zeros((q, q), dtype=np.int64)
+    n_max = max(pattern.vertex_count for pattern, _base in pointed)
+    if q ** n_max > SIGNATURE_BUDGET_BYTES:
+        raise BudgetExceeded(
+            "a %d-vertex pattern tensor on %d vertices needs %d bytes, over "
+            "the signature budget of %d bytes"
+            % (n_max, q, q ** n_max, SIGNATURE_BUDGET_BYTES))
+    adj = np.zeros((q, q), dtype=bool)
     for (u, v) in g.edges:
-        adj[u, v] = 1
-    sigs = {v: [] for v in range(q)}
-    for pattern in planar_patterns(depth):
-        t = _pattern_tensor(pattern, adj)
-        n = pattern.vertex_count
-        _perms, orbits = classical_aut(pattern)
-        for orb in orbits:
-            b = min(orb)
-            axes = tuple(k for k in range(n) if k != b)
-            counts = t.sum(axis=axes) if axes else t
-            for v in range(q):
-                sigs[v].append(int(counts[v]))
-    return {v: tuple(sig) for v, sig in sigs.items()}
+        adj[u, v] = True
+    columns = []
+    last = None
+    for pattern, base in pointed:
+        if pattern is not last:     # consecutive entries share a pattern
+            t, last = _pattern_tensor(pattern, adj), pattern
+        # slice v of the tensor along the basepoint axis pins it to v
+        columns.append([int(np.count_nonzero(s))
+                        for s in np.moveaxis(t, base, 0)])
+    return {v: tuple(sig) for v, sig in enumerate(zip(*columns))}
 
 
 def _classes(signatures):
@@ -150,13 +165,27 @@ def planar_iso_test(g1, g2, depth=6):
     """Compare pointed planar homomorphism counts up to the depth.
 
     Returns a verdict carrying either a bijection of count classes or a
-    reproducible separating witness (pattern, basepoint, class pair)."""
+    reproducible separating witness (pattern, basepoint, class pair).
+    When both graphs have the same count vectors but some class differs
+    in size, the witness is that class pair: its pattern and basepoint
+    are None and its counts are the two class sizes."""
     for g in (g1, g2):
         if not g.is_connected():
             raise ValidationError("graphs must be connected")
     cls1 = _classes(count_signatures(g1, depth))
     cls2 = _classes(count_signatures(g2, depth))
     if set(cls1) == set(cls2):
+        # a magic unitary is block diagonal on the classes of equal
+        # pointed counts, so paired classes must have equal sizes
+        for sig in sorted(cls1):
+            if len(cls1[sig]) != len(cls2[sig]):
+                witness = {"pattern": None, "basepoint": None,
+                           "pattern_index": None,
+                           "orbit1": cls1[sig], "orbit2": cls2[sig],
+                           "count1": len(cls1[sig]),
+                           "count2": len(cls2[sig])}
+                return IsoVerdict("distinguished", depth, witness=witness,
+                                  classes=(cls1, cls2))
         bijection = [(cls1[sig], cls2[sig]) for sig in sorted(cls1)]
         return IsoVerdict("indistinguishable_up_to_depth", depth,
                           bijection=bijection, classes=(cls1, cls2))

@@ -2,8 +2,7 @@
 
 Vectors are dicts mapping hashable keys to nonzero Fractions.  RatSpan
 keeps a reduced row echelon basis incrementally, so rank growth, span
-membership and reduction residuals are all exact.  A small dense
-Gauss-Jordan inverse for Fraction matrices rounds things out.
+membership and reduction residuals are all exact.
 """
 
 from fractions import Fraction
@@ -28,12 +27,6 @@ def vec_add_scaled(dst, src, c):
         else:
             dst.pop(k, None)
     return dst
-
-
-def vec_dot(u, v):
-    if len(u) > len(v):
-        u, v = v, u
-    return sum((x * v[k] for k, x in u.items() if k in v), Fraction(0))
 
 
 def _sort_key(k):
@@ -85,22 +78,3 @@ def span_rank(vectors):
     for v in vectors:
         s.add(v)
     return s.rank
-
-
-def invert_fraction_matrix(g):
-    """Inverse of a square Fraction matrix (list of rows); Gauss-Jordan."""
-    n = len(g)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(g)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qgs import quantiso
 from qgs.cli import main
 
 C4 = "finite 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 0\n"
@@ -97,6 +98,49 @@ def test_planar_iso_distinguished(files, capsys):
     assert code == 0
     assert doc["status"] == "distinguished"
     assert doc["witness"]["count1"] != doc["witness"]["count2"]
+
+
+def cycle_file(tmp_path, n):
+    path = tmp_path / ("c%d.graph" % n)
+    path.write_text("finite %d\n" % n + "".join(
+        "edge %d %d\n" % (i, (i + 1) % n) for i in range(n)))
+    return str(path)
+
+
+def test_planar_iso_class_sizes(capsys, tmp_path):
+    # C7 and C14 have the same pointed counts up to depth 6, but a class
+    # of 7 vertices cannot be paired with one of 14
+    code, doc, _ = run(capsys, ["planar-iso",
+                                "--graph", cycle_file(tmp_path, 7),
+                                "--graph", cycle_file(tmp_path, 14)])
+    assert code == 0
+    assert doc["status"] == "distinguished"
+    w = doc["witness"]
+    assert (w["count1"], w["count2"]) == (7, 14)
+    assert w["orbit1"] == sorted(map(str, range(7)))
+    assert w["orbit2"] == sorted(map(str, range(14)))
+    assert w["pattern_vertices"] is None and w["basepoint"] is None
+
+
+def test_planar_iso_budget(capsys, tmp_path, monkeypatch):
+    def no_tensor(pattern, adj):
+        raise AssertionError("pattern tensor allocated")
+    monkeypatch.setattr(quantiso, "_pattern_tensor", no_tensor)
+    c30 = cycle_file(tmp_path, 30)
+    code, doc, err = run(capsys, ["planar-iso", "--graph", c30,
+                                  "--graph", c30, "--depth", "6"])
+    assert code == 2
+    assert doc is None
+    assert "signature budget" in err
+
+
+def test_orbits_beyond_classical_limit(capsys, tmp_path):
+    # the optional cross-check is not made past the brute-force limit
+    code, doc, _ = run(capsys, ["orbits", "--category", "all",
+                                "--graph", cycle_file(tmp_path, 12)])
+    assert code == 0
+    assert doc["orbit_count"] == 1
+    assert doc["matches_classical"] is None
 
 
 def test_planar_iso_indistinguishable(files, capsys):

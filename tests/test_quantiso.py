@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qgs.graphs import (FiniteGraph, ValidationError, complete_graph,
                         cycle_graph, path_graph)
@@ -37,14 +38,40 @@ def test_pattern_counts():
     assert sizes == {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 99}
 
 
-def test_signatures_match_brute_force():
-    # the vectorized signature agrees with backtracking pointed counts
-    g = cycle_graph(5)
+@st.composite
+def connected_graphs(draw, max_vertices=6):
+    """Connected graphs on 1..max_vertices vertices, loops allowed: a
+    random spanning tree plus random extra edges and loops."""
+    n = draw(st.integers(1, max_vertices))
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    return FiniteGraph(n, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs())
+@example(cycle_graph(5))
+def test_signatures_match_brute_force(g):
+    # coordinate k of the vectorized signature is the backtracking count
+    # of the k-th pointed pattern
     sigs = count_signatures(g, 4)
     pointed = pointed_patterns(4)
-    for v in range(5):
+    for v in range(g.vertex_count):
+        assert len(sigs[v]) == len(pointed)
         for k, (pattern, base) in enumerate(pointed):
             assert sigs[v][k] == pointed_hom_count(pattern, base, g, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.randoms(use_true_random=False))
+def test_signatures_invariant_under_relabeling(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    sigs = count_signatures(g, 4)
+    moved = count_signatures(relabel(g, perm), 4)
+    for v in range(g.vertex_count):
+        assert moved[perm[v]] == sigs[v]
 
 
 def test_isomorphic_pair_indistinguishable():
@@ -86,7 +113,9 @@ def test_triangle_distinguished():
 def test_symmetry_of_verdicts():
     pairs = [(cycle_graph(4), path_graph(4)),
              (complete_graph(3), path_graph(3)),
-             (cycle_graph(5), relabel(cycle_graph(5), [4, 2, 0, 3, 1]))]
+             (cycle_graph(5), relabel(cycle_graph(5), [4, 2, 0, 3, 1])),
+             # equal count vectors, classes of different sizes
+             (cycle_graph(7), cycle_graph(14))]
     for a, b in pairs:
         v1 = planar_iso_test(a, b, depth=4)
         v2 = planar_iso_test(b, a, depth=4)
