@@ -19,19 +19,25 @@ with the antipode gives the right Haar functional ``psi_e``, and the
 modular element acts by vertex-weight ratios.
 
 Elements are plain dicts mapping ``(i, j)`` tuple pairs to coefficients;
-keys of different word lengths may be mixed freely.
+keys of different word lengths may be mixed freely.  These are the
+sparse tuple matrices of ``morspace``, and its functions are the
+operations on them: ``rel_tensor`` multiplies path symbols, ``mat_tilde``
+is the antipode, and ``mat_mul``, ``mat_adjoint`` and ``_floatify`` serve
+the component decomposition.  The word product ``word_mul``, the adjoint
+``word_star`` of words and path symbols, the counit and ``add_into`` are
+defined here.
 """
 
 import itertools
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from .graphs import FiniteGraph, ValidationError
-from .morspace import (ColumnLadder, SpanModP, generate_mor, ibf_basis,
-                       mat_adjoint, mat_mul, minimal_projections,
-                       mu_assignment, quantum_orbits)
+from .graphs import FiniteGraph, ValidationError, all_pairs_distances
+from .morspace import (ColumnLadder, SpanModP, _floatify, generate_mor,
+                       ibf_basis, mat_adjoint, mat_mul, mat_tilde,
+                       minimal_projections, mu_assignment, quantum_orbits,
+                       rel_tensor)
 
 
 def word(i, j, coef=1):
@@ -58,7 +64,8 @@ def word_mul(x, y):
 
 
 def word_star(x):
-    """Adjoint: U_n(i, j)* = U_n(reversed i, reversed j)."""
+    """Adjoint: U_n(i, j)* = U_n(reversed i, reversed j), and likewise
+    F_n(i, j)* on path symbols."""
     out = {}
     for (i, j), c in x.items():
         key = (i[::-1], j[::-1])
@@ -66,54 +73,9 @@ def word_star(x):
     return out
 
 
-def antipode(x):
-    """S(U_n(i, j)) = U_n(reversed j, reversed i)."""
-    out = {}
-    for (i, j), c in x.items():
-        key = (j[::-1], i[::-1])
-        out[key] = out.get(key, 0) + c
-    return out
-
-
 def counit(x):
     """epsilon(U_n(i, j)) = 1 if i == j else 0."""
     return sum(c for (i, j), c in x.items() if i == j)
-
-
-def f_mul(x, y):
-    """Product of path symbols: concatenation when boundaries match."""
-    out = {}
-    for (p1, q1), c1 in x.items():
-        for (p2, q2), c2 in y.items():
-            if p1[-1] != p2[0] or q1[-1] != q2[0]:
-                continue
-            key = (p1 + p2[1:], q1 + q2[1:])
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def f_star(x):
-    """Adjoint of path symbols: F_n(i, j)* = F_n(reversed i, reversed j)."""
-    out = {}
-    for (p, q), c in x.items():
-        key = (p[::-1], q[::-1])
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def _all_pairs_distances(g):
-    n = g.vertex_count
-    dist = [[-1] * n for _ in range(n)]
-    for s in range(n):
-        dist[s][s] = 0
-        todo = deque([s])
-        while todo:
-            u = todo.popleft()
-            for v in g.neighbors(u):
-                if dist[s][v] < 0:
-                    dist[s][v] = dist[s][u] + 1
-                    todo.append(v)
-    return dist
 
 
 class HaarSystem:
@@ -135,7 +97,7 @@ class HaarSystem:
         self.q = graph.vertex_count
         self.max_level = max_level
         self.max_word = max_level - 2
-        self.dist = _all_pairs_distances(graph)
+        self.dist = all_pairs_distances(graph)
         self.orbits = quantum_orbits(graph, category=category)
         self.mu = mu_assignment(graph, category=category).mu
         self.ladder = ColumnLadder(graph, category, max_level=max_level)
@@ -178,10 +140,6 @@ class HaarSystem:
             return True
         return False
 
-    def simplify(self, x):
-        return {key: c for key, c in x.items()
-                if c != 0 and not self.word_is_zero(*key)}
-
     # -- corner kernels -----------------------------------------------
 
     def _corner(self, M, a):
@@ -199,8 +157,7 @@ class HaarSystem:
                 "level %d exceeds the trusted ladder depth %d"
                 % (M, self.max_level - 1))
         members = sorted(self.orbit_members(a))
-        size = self.q ** max(M, 1)
-        span = SpanModP(size)
+        span = SpanModP(self.q ** max(M, 1))
         rows = []
         for arr in self.ladder.basis(M):
             cut = np.zeros_like(arr)
@@ -223,20 +180,15 @@ class HaarSystem:
                 raise ValidationError(
                     "corner Gram matrix is not constant on the orbit")
         tf = t.astype(np.float64)
-        w = np.linalg.solve(g, tf)
-        if size <= 4096:
-            data = ("kernel", tf.T @ w)
-        else:
-            data = ("factored", tf, w)
+        # the kernel is tf.T @ w, kept factored: dense it has q^M rows
+        # and columns
+        data = (tf, np.linalg.solve(g, tf))
         self._corners[key] = data
         return data
 
     def kernel_values(self, M, a, p_idx, q_idx):
         """phi(F_M(p, q)) for flattened free-coordinate index arrays."""
-        data = self._corner(M, a)
-        if data[0] == "kernel":
-            return data[1][p_idx, q_idx]
-        _, tf, w = data
+        tf, w = self._corner(M, a)
         return np.einsum("kn,kn->n", tf[:, p_idx], w[:, q_idx])
 
     def _flat(self, tup):
@@ -324,7 +276,7 @@ class HaarSystem:
 
     def psi_e(self, x, e):
         """Right Haar functional: the left one composed with the antipode."""
-        return self.phi_e(antipode(x), e)
+        return self.phi_e(mat_tilde(x), e)
 
     def mul_delta(self, x):
         """Right multiplication by the modular element.
@@ -412,6 +364,7 @@ class HaarSystem:
             if level > self.max_level - 1:
                 raise ValidationError(
                     "n_max %d needs ladder level %d" % (n_max, level))
+            tf, w_mat = self._corner(level, f_orb)
             for j in itertools.product(range(self.q), repeat=n):
                 q_tup = (e,) + j + (e,)
                 ps = self.admissible_partners(q_tup)
@@ -434,12 +387,7 @@ class HaarSystem:
                         big = None
                         cols = q_free[:, w]
                         for s in f_members:
-                            data = self._corner(level, f_orb)
-                            if data[0] == "kernel":
-                                part = data[1][np.ix_(rows[s], cols)]
-                            else:
-                                _, tf, w_mat = data
-                                part = tf[:, rows[s]].T @ w_mat[:, cols]
+                            part = tf[:, rows[s]].T @ w_mat[:, cols]
                             big = part if big is None else big + part
                         lhs = big @ ph
                         rhs = phf_unit[(v, w)] * ph
@@ -493,18 +441,6 @@ class AlgebraElement:
         return True
 
 
-def _concat_f(x, y):
-    """Concatenate two sparse path-symbol matrices (boundary matching)."""
-    out = {}
-    for (p1, q1), c1 in x.items():
-        for (p2, q2), c2 in y.items():
-            if p1[-1] != p2[0] or q1[-1] != q2[0]:
-                continue
-            key = (p1 + p2[1:], q1 + q2[1:])
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
 class ComponentSystem:
     """Irreducible decomposition of path symbols up to a bounded arity.
 
@@ -549,7 +485,7 @@ class ComponentSystem:
                     and irr.block != proj.block:
                 continue
             for b in self._mor(k, irr.k).matrices:
-                prod = mat_mul(mat_mul(proj.matrix, _float_mat(b)),
+                prod = mat_mul(mat_mul(proj.matrix, _floatify(b)),
                                irr.proj.matrix)
                 if any(abs(v) > 1e3 * self.tol for v in prod.values()):
                     return True
@@ -573,8 +509,7 @@ class ComponentSystem:
             total = {}
             for irr in self.irreducibles:
                 for v in self.ibf(n, irr)[0]:
-                    for key, val in mat_mul(v, mat_adjoint(v)).items():
-                        total[key] = total.get(key, 0) + val
+                    add_into(total, mat_mul(v, mat_adjoint(v)))
             worst = 0.0
             for i in itertools.product(range(self.graph.vertex_count),
                                        repeat=n + 1):
@@ -594,15 +529,14 @@ class ComponentSystem:
                 % (n, self.max_arity))
         stable = True
         comps = {}
+        fmat = _floatify(mat)
         for irr in self.irreducibles:
             acc = {}
             worst = self.ibf(n, irr)[1]
             if worst > 1e3 * self.tol:
                 stable = False
             for v in self.ibf(n, irr)[0]:
-                part = mat_mul(mat_mul(mat_adjoint(v), _float_mat(mat)), v)
-                for key, val in part.items():
-                    acc[key] = acc.get(key, 0) + val
+                add_into(acc, mat_mul(mat_mul(mat_adjoint(v), fmat), v))
             acc = {k: v for k, v in acc.items() if abs(v) > self.tol}
             if acc:
                 comps[irr.id] = acc
@@ -610,10 +544,6 @@ class ComponentSystem:
 
     def irr(self, ident):
         return self.irreducibles[ident]
-
-
-def _float_mat(mat):
-    return {k: float(v) for k, v in mat.items()}
 
 
 def f_elem(system, n, xi, eta):
@@ -631,59 +561,39 @@ def f_symbol(system, n, i, j):
     return f_elem(system, n, {tuple(i): 1}, {tuple(j): 1})
 
 
+def _recompose(system, pieces, stable):
+    """Decompose each (arity, matrix) piece and sum the components."""
+    out = {}
+    for k, mat in pieces:
+        piece = system.decompose(k, mat)
+        stable = stable and piece.stable
+        for ident, comp in piece.components.items():
+            add_into(out.setdefault(ident, {}), comp)
+    return AlgebraElement(system, out, stable=stable)
+
+
 def multiply(x, y):
     """Product in canonical form: concatenate components, re-decompose."""
     system = x.system
-    out = {}
-    stable = x.stable and y.stable
+    pieces = []
     for a, ca in x.components.items():
-        ka = system.irr(a).k
         for b, cb in y.components.items():
-            kb = system.irr(b).k
-            prod = _concat_f(ca, cb)
-            if not prod:
-                continue
-            piece = system.decompose(ka + kb, prod)
-            stable = stable and piece.stable
-            for ident, comp in piece.components.items():
-                acc = out.setdefault(ident, {})
-                for key, val in comp.items():
-                    acc[key] = acc.get(key, 0) + val
-    return AlgebraElement(system, out, stable=stable)
+            prod = rel_tensor(ca, cb)
+            if prod:
+                pieces.append((system.irr(a).k + system.irr(b).k, prod))
+    return _recompose(system, pieces, x.stable and y.stable)
 
 
 def star(x):
     """Adjoint in canonical form: F_n(i, j)* = F_n(reversed i, reversed j)."""
-    system = x.system
-    out = {}
-    stable = x.stable
-    for a, ca in x.components.items():
-        k = system.irr(a).k
-        mat = {(p[::-1], q[::-1]): v for (p, q), v in ca.items()}
-        piece = system.decompose(k, mat)
-        stable = stable and piece.stable
-        for ident, comp in piece.components.items():
-            acc = out.setdefault(ident, {})
-            for key, val in comp.items():
-                acc[key] = acc.get(key, 0) + val
-    return AlgebraElement(system, out, stable=stable)
+    return _recompose(x.system, [(x.system.irr(a).k, word_star(ca))
+                                 for a, ca in x.components.items()], x.stable)
 
 
 def kappa(x):
     """The *-anti-automorphism F_n(i, j) -> F_n(reversed j, reversed i)."""
-    system = x.system
-    out = {}
-    stable = x.stable
-    for a, ca in x.components.items():
-        k = system.irr(a).k
-        mat = {(q[::-1], p[::-1]): v for (p, q), v in ca.items()}
-        piece = system.decompose(k, mat)
-        stable = stable and piece.stable
-        for ident, comp in piece.components.items():
-            acc = out.setdefault(ident, {})
-            for key, val in comp.items():
-                acc[key] = acc.get(key, 0) + val
-    return AlgebraElement(system, out, stable=stable)
+    return _recompose(x.system, [(x.system.irr(a).k, mat_tilde(ca))
+                                 for a, ca in x.components.items()], x.stable)
 
 
 def phi(x):
@@ -763,17 +673,6 @@ def delta_checks(graph, e, f, category="planar"):
         "unimodular": ratios == [Fraction(1)],
         "words_checked": len(words),
     }
-
-
-def antipode_S(x):
-    """Alias for the antipode on word combinations."""
-    return antipode(x)
-
-
-def check_left_invariance(graph, e, n_max=2, category="planar"):
-    """Worst left-invariance residual over short corner words."""
-    hs = haar_system(graph, category)
-    return hs.left_invariance_residual(e, n_max=n_max)
 
 
 _systems = {}

@@ -254,20 +254,6 @@ def circular_gadget(n):
     return BiLabeled(g, x, (0,))
 
 
-def standard_gadgets():
-    """Named catalogue of the generator gadgets."""
-    return {
-        "M": m_gadget,
-        "A": adjacency_gadget(),
-        "identity": identity_tensor,
-        "interval": interval_gadget,
-        "rainbow": rainbow_gadget,
-        "s": s_gadget,
-        "distance_diag": distance_diag_gadget,
-        "circular": circular_gadget,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Canonical forms
 

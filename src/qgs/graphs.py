@@ -213,6 +213,23 @@ def distance(p, u, v, cap):
     return None
 
 
+def all_pairs_distances(g):
+    """BFS distances of a finite graph as a list of rows; -1 marks a
+    pair in different components."""
+    n = g.vertex_count
+    dist = [[-1] * n for _ in range(n)]
+    for s in range(n):
+        dist[s][s] = 0
+        todo = deque([s])
+        while todo:
+            u = todo.popleft()
+            for v in g.neighbors(u):
+                if dist[s][v] < 0:
+                    dist[s][v] = dist[s][u] + 1
+                    todo.append(v)
+    return dist
+
+
 def classical_aut(g, limit=DEFAULT_AUT_LIMIT):
     """All automorphisms of a small finite graph, plus the vertex orbits.
 

@@ -19,10 +19,10 @@ from fractions import Fraction
 import itertools
 import random
 
-from .graphs import (DEFAULT_AUT_LIMIT, FiniteGraph, ValidationError, ball,
-                     classical_aut)
+from .graphs import (DEFAULT_AUT_LIMIT, FiniteGraph, ValidationError,
+                     all_pairs_distances, ball, classical_aut)
 from .bilabeled import BiLabeled, circular_gadget
-from .hommat import _enumerate_homs, hom_matrix
+from .hommat import _enumerate_homs, hom_matrix, partial_trace
 from .ratmat import RatSpan
 
 
@@ -129,6 +129,13 @@ def _double_square_diag_graph():
 # ---------------------------------------------------------------------------
 # function engine: arities (0,0) and (1,1)
 
+# Seed patterns on finite graphs have at most this many vertices.
+GADGET_VERTICES = 4
+FUNCTION_ROUNDS = 8
+# On windows, row and column sums are taken only of pair functions whose
+# support radius is at most this.
+WINDOW_PAIR_RADIUS = 1
+
 
 class FunctionEngine:
     """Generated spans of vertex functions and pair functions.
@@ -137,16 +144,11 @@ class FunctionEngine:
     operations are used and row/column sums are taken only for functions
     whose support radius fits inside the recorded pair domain."""
 
-    def __init__(self, scene, category="planar", pair_radius=None,
-                 max_gadget_vertices=4, rounds_budget=8):
+    def __init__(self, scene, category="planar"):
         self.scene = scene
         self.category = category
-        if pair_radius is None:
-            pair_radius = None if scene.is_finite else 1
-        self.pair_radius = pair_radius
-        self.rounds_budget = rounds_budget
         self._build_domain()
-        self._seed(max_gadget_vertices)
+        self._seed()
         self._close()
 
     def _build_domain(self):
@@ -218,7 +220,7 @@ class FunctionEngine:
                     fn[u] = count[0]
         return fn
 
-    def _seed(self, max_gadget_vertices):
+    def _seed(self):
         s = self.scene
         self.f0_items = []           # (dict vertex -> int, provenance)
         self.f1_items = []           # (dict pair -> int, radius, provenance)
@@ -227,7 +229,7 @@ class FunctionEngine:
         delta = {(u, u): 1 for u in self.eval_verts}
         self._add_f1(delta, 0, "diagonal")
         if s.is_finite:
-            catalogue = _connected_graphs_upto(max_gadget_vertices)
+            catalogue = _connected_graphs_upto(GADGET_VERTICES)
             for g in catalogue:
                 for x1 in range(g.vertex_count):
                     fn = self._eval_point_gadget(g, x1)
@@ -281,7 +283,7 @@ class FunctionEngine:
         self.stable = False
         f0_new = list(self.f0_items)
         f1_new = list(self.f1_items)
-        for _ in range(self.rounds_budget):
+        for _ in range(FUNCTION_ROUNDS):
             self.rounds += 1
             added0, added1 = [], []
             # pointwise products
@@ -317,8 +319,7 @@ class FunctionEngine:
                         added1.append(self.f1_items[-1])
             # row/column sums where the support provably fits the domain
             for a in f1_new:
-                if s.is_finite or (self.pair_radius is not None
-                                   and a[1] <= self.pair_radius):
+                if s.is_finite or a[1] <= WINDOW_PAIR_RADIUS:
                     rows, cols = {}, {}
                     for (u, v), c in a[0].items():
                         rows[u] = rows.get(u, 0) + c
@@ -332,7 +333,7 @@ class FunctionEngine:
                 for a in f1_new:
                     for b in self.f1_items:
                         for x, y in ((a, b), (b, a)):
-                            conv = _convolve(x[0], y[0])
+                            conv = mat_mul(x[0], y[0])
                             if self._add_f1(conv, x[1] + y[1],
                                             "convolution"):
                                 added1.append(self.f1_items[-1])
@@ -377,17 +378,6 @@ def _pw_mul(a, b):
     return {k: v * b[k] for k, v in a.items() if k in b}
 
 
-def _convolve(a, b):
-    by_first = {}
-    for (k, j), c in b.items():
-        by_first.setdefault(k, []).append((j, c))
-    out = {}
-    for (i, k), c in a.items():
-        for (j, d) in by_first.get(k, ()):
-            out[(i, j)] = out.get((i, j), 0) + c * d
-    return out
-
-
 def _pattern_distance(graph, x1, x2):
     from collections import deque
     if x1 == x2:
@@ -423,7 +413,10 @@ def mat_mul(a, b):
         for (j, d) in by_row.get(k, ()):
             key = (i, j)
             out[key] = out.get(key, 0) + c * d
-    return {k: v for k, v in out.items() if v != 0}
+    # sums of nonnegative counts rarely cancel; copy only when one did
+    if 0 in out.values():
+        out = {k: v for k, v in out.items() if v != 0}
+    return out
 
 
 def mat_adjoint(a):
@@ -436,15 +429,17 @@ def mat_tilde(a):
             for (i, j), c in a.items()}
 
 
-def rel_tensor(a, b, n1, m1):
+def rel_tensor(a, b):
     """Glued tensor: the last row label of `a` must equal the first row
-    label of `b`, and likewise for columns; the shared labels appear once."""
+    label of `b`, and likewise for columns; the shared labels appear once.
+    The glue labels are read from each key, so keys of different lengths
+    may be mixed; on path symbols this is their product."""
     by_corner = {}
     for (i, j), c in b.items():
         by_corner.setdefault((i[0], j[0]), []).append((i, j, c))
     out = {}
     for (i, j), c in a.items():
-        for (i2, j2, d) in by_corner.get((i[n1], j[m1]), ()):
+        for (i2, j2, d) in by_corner.get((i[-1], j[-1]), ()):
             key = (i + i2[1:], j + j2[1:])
             out[key] = out.get(key, 0) + c * d
     return out
@@ -557,29 +552,22 @@ def t_map(a, n):
     return out
 
 
-def trace_left(a):
-    """Partial trace over all but the first coordinate, grouped by it."""
-    out = {}
-    for (i, j), c in a.items():
-        if i[1:] == j[1:] and i[0] == j[0]:
-            out[i[0]] = out.get(i[0], 0) + c
-    return out
-
-
-def trace_right(a):
-    out = {}
-    for (i, j), c in a.items():
-        if i[:-1] == j[:-1] and i[-1] == j[-1]:
-            out[i[-1]] = out.get(i[-1], 0) + c
-    return out
-
-
 def mat_vec(a):
     return {k: Fraction(v) for k, v in a.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------
 # higher-arity closure engine (finite graphs)
+
+
+# MorEngine's arity caps: rows n <= ROW_CAP, columns m <= min(n, COL_CAP),
+# and the square pairs (n, n) with n <= SQUARE_CAP.
+ROW_CAP = 4
+COL_CAP = 2
+SQUARE_CAP = 2
+MOR_ROUNDS = 10
+# The closure stops after the round in which the stored items exceed this.
+MOR_SIZE_BUDGET = 200000
 
 
 class MorEngine:
@@ -590,22 +578,17 @@ class MorEngine:
     duplication and contraction, folds of square matrices into columns,
     and scalings by generated vertex/pair functions, until no span grows."""
 
-    def __init__(self, graph, category="planar", row_cap=4, col_cap=2,
-                 square_cap=2, rounds_budget=10, size_budget=200000):
+    def __init__(self, graph, category="planar"):
         self.graph = graph
         self.category = category
-        self.row_cap = row_cap
-        self.col_cap = col_cap
         self.scene = Scene.finite(graph)
         self.fe = FunctionEngine(self.scene, category=category)
         self.pairs = sorted(
-            {(n, m) for n in range(row_cap + 1)
-             for m in range(min(n, col_cap) + 1)} |
-            {(n, n) for n in range(square_cap + 1)})
+            {(n, m) for n in range(ROW_CAP + 1)
+             for m in range(min(n, COL_CAP) + 1)} |
+            {(n, n) for n in range(SQUARE_CAP + 1)})
         self.spans = {pq: RatSpan() for pq in self.pairs}
         self.items = {pq: [] for pq in self.pairs}
-        self.rounds_budget = rounds_budget
-        self.size_budget = size_budget
         self._seed()
         self._close()
 
@@ -620,25 +603,12 @@ class MorEngine:
     def _seed(self):
         g = self.graph
         nv = g.vertex_count
-        # distance-profile diagonals at square arities, from walk counts
-        walks = [[[1 if i == j else 0 for j in range(nv)]
-                  for i in range(nv)]]
-        diam = nv
-        adj = [[1 if g.has_edge(i, j) else 0 for j in range(nv)]
-               for i in range(nv)]
-        for _ in range(diam):
-            prev = walks[-1]
-            walks.append([[sum(prev[i][k] * adj[k][j] for k in range(nv))
-                           for j in range(nv)] for i in range(nv)])
-        dist = {}
-        for i in range(nv):
-            for j in range(nv):
-                for d in range(diam + 1):
-                    if walks[d][i][j]:
-                        dist[(i, j)] = d
-                        break
+        # distance-profile diagonals at square arities
+        rows = all_pairs_distances(g)
+        dist = {(i, j): d for i in range(nv) for j, d in enumerate(rows[i])
+                if d >= 0}
         dvals = sorted(set(dist.values()))
-        for n in range(min(3, self.row_cap) + 1):
+        for n in range(min(3, ROW_CAP) + 1):
             if (n, n) not in self.spans:
                 continue
             for prof in itertools.product(dvals, repeat=n):
@@ -655,8 +625,7 @@ class MorEngine:
                    for v in range(nv)}
             self._add((n, m), mat)
         # cycle patterns folded to a single column label
-        max_cycle = self.row_cap if self.category == "all" else \
-            min(self.row_cap, 6)
+        max_cycle = ROW_CAP if self.category == "all" else min(ROW_CAP, 6)
         for k in range(3, max_cycle + 1):
             if (k, 0) not in self.spans:
                 continue
@@ -680,7 +649,7 @@ class MorEngine:
         frontier = {pq: list(self.items[pq]) for pq in self.pairs}
         f1s = self.fe.f1_basis()
         f0s = self.fe.f0_basis()
-        for _ in range(self.rounds_budget):
+        for _ in range(MOR_ROUNDS):
             self.rounds += 1
             added = {pq: [] for pq in self.pairs}
 
@@ -729,9 +698,9 @@ class MorEngine:
                     if nm2 in self.spans:
                         for a in new:
                             for b in self.items[(k2, m2)]:
-                                emit(nm2, rel_tensor(a, b, n, m))
-                                emit(nm2, rel_tensor(b, a, k2, m2))
-            if self._total_items() > self.size_budget:
+                                emit(nm2, rel_tensor(a, b))
+                                emit(nm2, rel_tensor(b, a))
+            if self._total_items() > MOR_SIZE_BUDGET:
                 break
             frontier = added
             if not any(added.values()):
@@ -845,10 +814,10 @@ def function_engine(target, category="planar", window=None):
     return FunctionEngine(scene, category=category)
 
 
-def mor_engine(graph, category="planar", **caps):
-    key = (_graph_key(graph), category, tuple(sorted(caps.items())))
+def mor_engine(graph, category="planar"):
+    key = (_graph_key(graph), category)
     if key not in _mor_engines:
-        _mor_engines[key] = MorEngine(graph, category=category, **caps)
+        _mor_engines[key] = MorEngine(graph, category=category)
     return _mor_engines[key]
 
 
@@ -856,7 +825,7 @@ def mor_engine(graph, category="planar", **caps):
 # public operations
 
 
-def generate_mor(target, n, m, category="planar", window=None, **caps):
+def generate_mor(target, n, m, category="planar", window=None):
     """Spanning set of the intertwiner space at arity pair (n, m).
 
     Arities (0,0) and (1,1) work on finite graphs and guarded windows;
@@ -875,13 +844,13 @@ def generate_mor(target, n, m, category="planar", window=None, **caps):
         raise ValidationError(
             "higher-arity spans are only generated over finite graphs; "
             "windows support arities (0,0) and (1,1)")
-    eng = mor_engine(target, category, **caps)
+    eng = mor_engine(target, category)
     mats = eng.basis(n, m)
     return MorBasis((n, m), mats, category, eng.scene, eng.stable,
                     eng.rounds, engine=eng)
 
 
-def quantum_orbits(target, category="all", window=None, cross_check=True):
+def quantum_orbits(target, category="all", window=None):
     """Vertex partition induced by the generated invariant functions."""
     fe = function_engine(target, category, window)
     sig = fe.orbit_signatures()
@@ -896,7 +865,7 @@ def quantum_orbits(target, category="all", window=None, cross_check=True):
         compact = True
         # the brute-force automorphism search is optional; beyond its
         # limit the cross-check is reported as not made (None)
-        if (category == "all" and cross_check
+        if (category == "all"
                 and fe.scene.graph.vertex_count <= DEFAULT_AUT_LIMIT):
             _auts, orb = classical_aut(fe.scene.graph)
             matches = sorted(map(sorted, ordered)) == sorted(
@@ -953,7 +922,8 @@ def _diagonal_atoms(basis, orbits):
         tuples = profiles[key]
         mat = {(t, t): 1 for t in tuples}
         exact = span.contains(mat_vec(mat))
-        tl, tr = trace_left(mat), trace_right(mat)
+        tl = partial_trace(mat, "left")
+        tr = partial_trace(mat, "right")
         d_l = _orbit_constant(tl, orbits, tuples[0][0], basis.scene)
         d_r = _orbit_constant(tr, orbits, tuples[0][-1], basis.scene)
         if d_l is None or d_r is None:
@@ -1018,7 +988,8 @@ def _spectral_projections(basis, orbits, tol, seed):
                 if abs(proj[a, b]) > tol:
                     mat[(support[a], support[b])] = proj[a, b]
         anchor = max(mat, key=lambda k: abs(mat[k]))
-        tl, tr = trace_left(mat), trace_right(mat)
+        tl = partial_trace(mat, "left")
+        tr = partial_trace(mat, "right")
         d_l = _float_orbit_constant(tl, orbits, anchor[0][0], tol)
         d_r = _float_orbit_constant(tr, orbits, anchor[0][-1], tol)
         if d_l is None or d_r is None:
@@ -1402,27 +1373,27 @@ _SPAN_PRIME = 67108859
 class SpanModP:
     """Incremental row space modulo a prime, for rank decisions."""
 
-    def __init__(self, dim, p=_SPAN_PRIME):
+    def __init__(self, dim):
         import numpy as np
         self.np = np
         self.dim = dim
-        self.p = p
         self.rows = []
         self.pivots = []
 
     def add(self, vec):
         np = self.np
-        v = np.asarray(vec, dtype=np.int64).ravel() % self.p
+        p = _SPAN_PRIME
+        v = np.asarray(vec, dtype=np.int64).ravel() % p
         for row, c in zip(self.rows, self.pivots):
             f = v[c]
             if f:
-                v = (v - f * row) % self.p
+                v = (v - f * row) % p
         nz = np.nonzero(v)[0]
         if len(nz) == 0:
             return False
         c = int(nz[0])
-        inv = pow(int(v[c]), self.p - 2, self.p)
-        v = (v * inv) % self.p
+        inv = pow(int(v[c]), p - 2, p)
+        v = (v * inv) % p
         self.rows.append(v)
         self.pivots.append(c)
         return True
@@ -1432,11 +1403,13 @@ class SpanModP:
         return len(self.rows)
 
 
+LADDER_ROUNDS = 8
+
+
 class ColumnLadder:
     """Exact generated bases of the column spaces at arities (M, 0)."""
 
-    def __init__(self, graph, category="planar", max_level=6,
-                 rounds_budget=8, seed_engine=True):
+    def __init__(self, graph, category="planar", max_level=6):
         import numpy as np
         self.np = np
         self.graph = graph
@@ -1459,8 +1432,8 @@ class ColumnLadder:
         self.levels = {M: [] for M in range(max_level + 1)}
         self.spans = {M: SpanModP(self.q ** max(M, 1))
                       for M in range(max_level + 1)}
-        self._seed(seed_engine)
-        self._close(rounds_budget)
+        self._seed()
+        self._close()
 
     # level M arrays have shape (q,) * max(M, 1); index t is loop
     # coordinate i_t, and the loop closes with i_M == i_0.
@@ -1476,21 +1449,20 @@ class ColumnLadder:
             return True
         return False
 
-    def _seed(self, seed_engine):
+    def _seed(self):
         np = self.np
         for fn in self.f0_vecs:
             self._add(0, fn.copy())
             self._add(1, fn.copy())
-        if seed_engine:
-            eng = mor_engine(self.graph, self.category)
-            for M in range(2, min(4, self.max_level) + 1):
-                if (M, 0) not in eng.items:
-                    continue
-                for mat in eng.items[(M, 0)]:
-                    arr = np.zeros(self._shape(M), dtype=np.int64)
-                    for (i, _j), c in mat.items():
-                        arr[i[:-1]] = c
-                    self._add(M, arr)
+        eng = mor_engine(self.graph, self.category)
+        for M in range(2, min(4, self.max_level) + 1):
+            if (M, 0) not in eng.items:
+                continue
+            for mat in eng.items[(M, 0)]:
+                arr = np.zeros(self._shape(M), dtype=np.int64)
+                for (i, _j), c in mat.items():
+                    arr[i[:-1]] = c
+                self._add(M, arr)
 
     def _dup(self, arr, M, p):
         np = self.np
@@ -1566,11 +1538,11 @@ class ColumnLadder:
             out[tuple(dst)] = np.multiply.outer(x[v], y[v])
         return out
 
-    def _close(self, rounds_budget):
+    def _close(self):
         self.rounds = 0
         self.stable = False
         frontier = {M: list(self.levels[M]) for M in self.levels}
-        for _ in range(rounds_budget):
+        for _ in range(LADDER_ROUNDS):
             self.rounds += 1
             added = {M: [] for M in self.levels}
 

@@ -291,20 +291,28 @@ def _layers(size, vertex_cap, layer_cap):
     return sorted(layers, key=_sort_key)
 
 
-def fiber_span_rank(spec, n, m, closure_budget=12, layer_cap=3000,
-                    pair_budget=30000, letter_budget=4096):
+# fiber_span_rank's budgets: layers have at most FIBER_LAYER_VERTICES
+# vertices and number at most FIBER_LAYER_CAP; at most FIBER_PAIR_BUDGET
+# compositions are tried, over at most FIBER_LETTER_BUDGET letter tuples.
+FIBER_LAYER_VERTICES = 12
+FIBER_LAYER_CAP = 3000
+FIBER_PAIR_BUDGET = 30000
+FIBER_LETTER_BUDGET = 4096
+
+
+def fiber_span_rank(spec, n, m):
     """Exact rational rank of the span of generated fiber matrices.
 
     Candidates are the generated path-labeled graphs of arity (n, m):
     single layers plus compositions of two layers with matching middle
-    arity, in a deterministic order up to `pair_budget` pairs."""
+    arity, in a deterministic order up to FIBER_PAIR_BUDGET pairs."""
     gens = spec.generator_elements()
-    if len(gens) ** max(n, m) > letter_budget:
+    if len(gens) ** max(n, m) > FIBER_LETTER_BUDGET:
         raise BudgetExceeded("letter tuples exceed the budget")
     provider = cayley_graph(spec)
     rows, row_names = _letter_windows(spec, provider, n)
     cols, col_names = _letter_windows(spec, provider, m)
-    layers = _layers(n + m, closure_budget, layer_cap)
+    layers = _layers(n + m, FIBER_LAYER_VERTICES, FIBER_LAYER_CAP)
     span = RatSpan()
     examined = 0
 
@@ -331,7 +339,7 @@ def fiber_span_rank(spec, n, m, closure_budget=12, layer_cap=3000,
     for l1 in left:
         for l2 in by_mid.get(l1.m, []):
             pairs += 1
-            if pairs > pair_budget:
+            if pairs > FIBER_PAIR_BUDGET:
                 exhausted = False
                 break
             cand = compose(l1, l2)

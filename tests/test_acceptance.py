@@ -212,8 +212,8 @@ def test_criterion_5_haar_suite():
             p2 = _random_path(rng, hs, 2, start=(p1[0][-1], p1[1][-1]))
             x = {p1: 1.0}
             y = {p2: 1.0}
-            lhs = hs.phi_f(algebra.f_mul(x, y))
-            rhs = hs.phi_f(algebra.f_mul(y, hs.rho_f(x)))
+            lhs = hs.phi_f(ms.rel_tensor(x, y))
+            rhs = hs.phi_f(ms.rel_tensor(y, hs.rho_f(x)))
             worst_trace = max(worst_trace, abs(lhs - rhs))
         # modular element and base-point change
         rep = algebra.delta_checks(g, 0, g.vertex_count - 1)

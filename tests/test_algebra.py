@@ -7,11 +7,11 @@ import pytest
 
 from qgs.graphs import (ValidationError, complete_graph, cycle_graph,
                         path_graph, tree_provider)
-from qgs.algebra import (ComponentSystem, add_into, antipode, counit,
-                         delta_checks, f_elem, f_mul, f_star, f_symbol,
-                         haar_system, inner_product_formula, kappa,
-                         multiply, phi, rho_map, star, u_word, word,
-                         word_mul, word_star)
+from qgs.algebra import (ComponentSystem, add_into, counit, delta_checks,
+                         f_elem, f_symbol, haar_system,
+                         inner_product_formula, kappa, multiply, phi,
+                         rho_map, star, u_word, word, word_mul, word_star)
+from qgs.morspace import mat_tilde, rel_tensor
 
 _component_systems = {}
 
@@ -77,11 +77,11 @@ def test_word_operations():
     y = word((1,), (0,), 3)
     assert word_mul(x, y) == {((0, 1, 1), (2, 3, 0)): 6}
     assert word_star(x) == {((1, 0), (3, 2)): 2}
-    assert antipode(x) == {((3, 2), (1, 0)): 2}
+    assert mat_tilde(x) == {((3, 2), (1, 0)): 2}
     assert counit(word((0, 1), (0, 1))) == 1
     assert counit(x) == 0
     # the antipode is an anti-homomorphism
-    assert antipode(word_mul(x, y)) == word_mul(antipode(y), antipode(x))
+    assert mat_tilde(word_mul(x, y)) == word_mul(mat_tilde(y), mat_tilde(x))
     # star reverses products
     assert word_star(word_mul(x, y)) == word_mul(word_star(y), word_star(x))
 
@@ -89,10 +89,10 @@ def test_word_operations():
 def test_f_word_operations():
     x = {((0, 1), (2, 3)): 2}
     y = {((1, 0), (3, 2)): 3}
-    assert f_mul(x, y) == {((0, 1, 0), (2, 3, 2)): 6}
+    assert rel_tensor(x, y) == {((0, 1, 0), (2, 3, 2)): 6}
     # mismatched boundary kills the product
-    assert f_mul(x, {((0, 1), (3, 2)): 1}) == {}
-    assert f_star(x) == {((1, 0), (3, 2)): 2}
+    assert rel_tensor(x, {((0, 1), (3, 2)): 1}) == {}
+    assert word_star(x) == {((1, 0), (3, 2)): 2}
 
 
 def test_zero_rules():
@@ -177,8 +177,8 @@ def test_trace_property_path_symbols():
         (p, q), = x.keys()
         y = rand_f_word(rng, hs, rng.choice([1, 2, 3]),
                         start=(p[-1], q[-1]))
-        lhs = hs.phi_f(f_mul(x, y))
-        rhs = hs.phi_f(f_mul(y, hs.rho_f(x)))
+        lhs = hs.phi_f(rel_tensor(x, y))
+        rhs = hs.phi_f(rel_tensor(y, hs.rho_f(x)))
         assert abs(lhs - rhs) < 1e-9
 
 
