@@ -150,6 +150,8 @@ class FunctionEngine:
         self._build_domain()
         self._seed()
         self._close()
+        # the spans' seen-sets are only needed while closing
+        del self.f0_span, self.f1_span
 
     def _build_domain(self):
         s = self.scene
@@ -175,6 +177,7 @@ class FunctionEngine:
                                                s.vertex_sort_key(p[1])))
         self.core_pairs = [p for p in self.pairs
                            if p[0] in s.core and p[1] in s.core]
+        self.core_pair_set = set(self.core_pairs)
 
     def _eval_pair_gadget(self, graph, x1, x2):
         """Exact pinned counts of a pointed-pair pattern on every pair of
@@ -259,8 +262,7 @@ class FunctionEngine:
                 self._add_f0(fn, name)
 
     def _core_vec(self, fn, keys):
-        return {k: Fraction(v) for k, v in fn.items()
-                if k in keys and v != 0}
+        return {k: v for k, v in fn.items() if k in keys}
 
     def _add_f0(self, fn, provenance):
         vec = self._core_vec(fn, self.scene.core)
@@ -270,8 +272,7 @@ class FunctionEngine:
         return False
 
     def _add_f1(self, fn, radius, provenance):
-        core = set(self.core_pairs)
-        vec = self._core_vec(fn, core)
+        vec = self._core_vec(fn, self.core_pair_set)
         if self.f1_span.add(vec):
             self.f1_items.append((fn, radius, provenance))
             return True
@@ -552,10 +553,6 @@ def t_map(a, n):
     return out
 
 
-def mat_vec(a):
-    return {k: Fraction(v) for k, v in a.items() if v != 0}
-
-
 # ---------------------------------------------------------------------------
 # higher-arity closure engine (finite graphs)
 
@@ -591,11 +588,13 @@ class MorEngine:
         self.items = {pq: [] for pq in self.pairs}
         self._seed()
         self._close()
+        # the spans' seen-sets are only needed while closing
+        del self.spans
 
     def _add(self, pq, mat):
         if not mat:
             return False
-        if self.spans[pq].add(mat_vec(mat)):
+        if self.spans[pq].add(mat):
             self.items[pq].append(mat)
             return True
         return False
@@ -609,7 +608,7 @@ class MorEngine:
                 if d >= 0}
         dvals = sorted(set(dist.values()))
         for n in range(min(3, ROW_CAP) + 1):
-            if (n, n) not in self.spans:
+            if (n, n) not in self.items:
                 continue
             for prof in itertools.product(dvals, repeat=n):
                 mat = {}
@@ -627,7 +626,7 @@ class MorEngine:
         # cycle patterns folded to a single column label
         max_cycle = ROW_CAP if self.category == "all" else min(ROW_CAP, 6)
         for k in range(3, max_cycle + 1):
-            if (k, 0) not in self.spans:
+            if (k, 0) not in self.items:
                 continue
             blg = circular_gadget(k)
             hm = hom_matrix(blg, g)
@@ -654,7 +653,7 @@ class MorEngine:
             added = {pq: [] for pq in self.pairs}
 
             def emit(pq, mat):
-                if pq in self.spans and self._add(pq, mat):
+                if pq in self.items and self._add(pq, mat):
                     added[pq].append(mat)
 
             for (n, m) in self.pairs:
@@ -686,16 +685,16 @@ class MorEngine:
                         emit((2 * n, 0), t_map(a, n))
                 # composition and glued tensor, new against everything
                 for (k2, m2) in self.pairs:
-                    if (n, m2) in self.spans and k2 == m:
+                    if (n, m2) in self.items and k2 == m:
                         for a in new:
                             for b in self.items[(m, m2)]:
                                 emit((n, m2), mat_mul(a, b))
-                    if (k2, m2) != (n, m) and (k2, n) in self.spans:
+                    if (k2, m2) != (n, m) and (k2, n) in self.items:
                         for a in new:
                             for b in self.items[(k2, n)]:
                                 emit((k2, m), mat_mul(b, a))
                     nm2 = (n + k2, m + m2)
-                    if nm2 in self.spans:
+                    if nm2 in self.items:
                         for a in new:
                             for b in self.items[(k2, m2)]:
                                 emit(nm2, rel_tensor(a, b))
@@ -916,12 +915,12 @@ def _diagonal_atoms(basis, orbits):
     out = []
     span = RatSpan()
     for mat in basis.matrices:
-        span.add(mat_vec(mat))
+        span.add(mat)
     for key in sorted(profiles, key=lambda k: sorted(
             map(repr, profiles[k]))):
         tuples = profiles[key]
         mat = {(t, t): 1 for t in tuples}
-        exact = span.contains(mat_vec(mat))
+        exact = span.contains(mat)
         tl = partial_trace(mat, "left")
         tr = partial_trace(mat, "right")
         d_l = _orbit_constant(tl, orbits, tuples[0][0], basis.scene)
@@ -1371,7 +1370,14 @@ _SPAN_PRIME = 67108859
 
 
 class SpanModP:
-    """Incremental row space modulo a prime, for rank decisions."""
+    """Incremental row space modulo a prime, for rank decisions.
+
+    Inputs are integer arrays of `dim` entries in any shape; zero
+    entries are ignored.  Every input is remembered by the bytes of its
+    nonzero positions and values, and a repeat is rejected without
+    eliminating.  This is exact: after the first offer the vector lies
+    in the span, and a span only grows, so the repeat would reduce to
+    zero anyway."""
 
     def __init__(self, dim):
         import numpy as np
@@ -1379,11 +1385,20 @@ class SpanModP:
         self.dim = dim
         self.rows = []
         self.pivots = []
+        self.seen = set()
 
     def add(self, vec):
         np = self.np
         p = _SPAN_PRIME
-        v = np.asarray(vec, dtype=np.int64).ravel() % p
+        v = np.asarray(vec, dtype=np.int64).ravel()
+        nz = np.flatnonzero(v)
+        # positions and values have equal byte lengths, so the join is
+        # unambiguous
+        key = nz.tobytes() + v[nz].tobytes()
+        if key in self.seen:
+            return False
+        self.seen.add(key)
+        v = v % p
         for row, c in zip(self.rows, self.pivots):
             f = v[c]
             if f:
@@ -1434,6 +1449,8 @@ class ColumnLadder:
                       for M in range(max_level + 1)}
         self._seed()
         self._close()
+        # the spans' seen-sets are only needed while closing
+        del self.spans
 
     # level M arrays have shape (q,) * max(M, 1); index t is loop
     # coordinate i_t, and the loop closes with i_M == i_0.

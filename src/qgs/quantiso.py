@@ -252,8 +252,8 @@ def check_correspondence_psi(g1, g2, depth=6, bounds=((1, 4), (2, 3))):
         rows2 = _relation_data(patterns, g2)
         span1, span2, joint = RatSpan(), RatSpan(), RatSpan()
         for r1, r2 in zip(rows1, rows2):
-            span1.add({k: v for k, v in r1.items()})
-            span2.add({k: v for k, v in r2.items()})
+            span1.add(r1)
+            span2.add(r2)
             merged = {(0,) + k: v for k, v in r1.items()}
             merged.update({(1,) + k: v for k, v in r2.items()})
             joint.add(merged)

@@ -13,7 +13,6 @@ oracles.
 import csv
 import io
 import itertools
-from fractions import Fraction
 
 from .bilabeled import BiLabeled, classify, compose, relative_tensor
 from .graphs import BudgetExceeded, FiniteGraph, ValidationError, cayley_graph
@@ -320,8 +319,8 @@ def fiber_span_rank(spec, n, m):
         nonlocal examined
         examined += 1
         hm = hom_matrix_windowed(k, provider, rows, cols)
-        vec = {(row_names[rows.index[i]], col_names[cols.index[j]]):
-               Fraction(v) for (i, j), v in hm.entries.items()}
+        vec = {(row_names[rows.index[i]], col_names[cols.index[j]]): v
+               for (i, j), v in hm.entries.items()}
         if vec:
             span.add(vec)
 

@@ -1,8 +1,15 @@
 """Exact rational linear algebra over sparse vectors.
 
-Vectors are dicts mapping hashable keys to nonzero Fractions.  RatSpan
-keeps a reduced row echelon basis incrementally, so rank growth, span
-membership and reduction residuals are all exact.
+Vectors are dicts mapping hashable keys to ints or Fractions; zero
+entries are ignored.  RatSpan keeps a reduced row echelon basis
+incrementally, so rank growth, span membership and reduction residuals
+are all exact.
+
+RatSpan.add remembers every input it has been offered and rejects a
+repeat without eliminating.  This is exact: after the first offer the
+vector lies in the span, and a span only grows, so the repeat would
+reduce to zero anyway.  Callers should pass integer dicts as they are,
+since hashing a Fraction computes a modular inverse.
 """
 
 from fractions import Fraction
@@ -38,6 +45,7 @@ class RatSpan:
 
     def __init__(self):
         self.pivots = {}       # pivot key -> vector with that coeff == 1
+        self.seen = set()      # frozensets of the items of every input
 
     @property
     def rank(self):
@@ -45,7 +53,7 @@ class RatSpan:
 
     def reduce(self, v):
         """Residual of v modulo the span (v is not modified)."""
-        out = dict(v)
+        out = {k: x for k, x in v.items() if x}
         for k in [k for k in out if k in self.pivots]:
             c = out.get(k)
             if c:
@@ -57,6 +65,10 @@ class RatSpan:
 
     def add(self, v):
         """Add v to the span; return True if the rank grew."""
+        key = frozenset(v.items())
+        if key in self.seen:
+            return False
+        self.seen.add(key)
         r = self.reduce(v)
         if not r:
             return False
@@ -68,13 +80,3 @@ class RatSpan:
                 vec_add_scaled(vec, r, -c)
         self.pivots[p] = r
         return True
-
-    def basis(self):
-        return [self.pivots[k] for k in sorted(self.pivots, key=_sort_key)]
-
-
-def span_rank(vectors):
-    s = RatSpan()
-    for v in vectors:
-        s.add(v)
-    return s.rank
