@@ -376,19 +376,15 @@ class HaarSystem:
                           for w in range(self.q)]
                 q_free = np.array(q_free).reshape(len(ps), self.q)
                 for v in range(self.q):
-                    rows = {}
-                    for s in f_members:
-                        rows[s] = np.array(
-                            [self._flat((s, v) + p) for p in ps])
+                    # the kernel is linear, so the orbit sum is taken
+                    # once per v, before the product
+                    left = sum(tf[:, [self._flat((s, v) + p) for p in ps]]
+                               for s in f_members)
                     for w in range(self.q):
                         if (v, w) not in phf_unit:
                             continue
                         # big[p, m] = phi_f(u_vw U(p, m)) via the kernel
-                        big = None
-                        cols = q_free[:, w]
-                        for s in f_members:
-                            part = tf[:, rows[s]].T @ w_mat[:, cols]
-                            big = part if big is None else big + part
+                        big = left.T @ w_mat[:, q_free[:, w]]
                         lhs = big @ ph
                         rhs = phf_unit[(v, w)] * ph
                         worst = max(worst, float(np.abs(lhs - rhs).max()))

@@ -79,25 +79,30 @@ def _search_order(k, pinned):
     return seen
 
 
-def _enumerate_homs(k, neighbor_fn, all_vertices_fn, pins, visit):
+def _enumerate_homs(k, neighbor_fn, all_vertices_fn, pins, visit=None):
     """Backtracking over graph homomorphisms K -> target extending pins.
 
     neighbor_fn(key) lists target neighbors; all_vertices_fn() lists all
     target vertices (only needed when a component has no pinned vertex,
     so it may be None for providers).  visit(phi) is called per hom with
-    the full assignment dict.
+    the full assignment dict; without a visitor the homs are only
+    counted.  Returns the number of homs.
     """
     g = k.graph
     for (u, v) in pins.items():
         for w in g.neighbors(u):
             if w in pins and pins[w] not in neighbor_fn(v):
-                return
+                return 0
     order = [v for v in _search_order(k, sorted(pins)) if v not in pins]
     phi = dict(pins)
+    count = 0
 
     def extend(idx):
+        nonlocal count
         if idx == len(order):
-            visit(phi)
+            count += 1
+            if visit is not None:
+                visit(phi)
             return
         v = order[idx]
         assigned_nbrs = [phi[w] for w in g.neighbors(v) if w in phi]
@@ -114,12 +119,16 @@ def _enumerate_homs(k, neighbor_fn, all_vertices_fn, pins, visit):
             cands = all_vertices_fn()
             if g.has_edge(v, v):
                 cands = [c for c in cands if c in neighbor_fn(c)]
+        if visit is None and idx == len(order) - 1:
+            count += len(cands)
+            return
         for c in sorted(cands):
             phi[v] = c
             extend(idx + 1)
             del phi[v]
 
     extend(0)
+    return count
 
 
 def hom_matrix(k, target):
@@ -159,6 +168,13 @@ def hom_matrix_windowed(k, p, rows, cols):
                 break
             pins[v] = img
         if not ok:
+            continue
+        if k.x == k.y:
+            # every label is pinned, so the count is the whole entry
+            if t in cols:
+                count = _enumerate_homs(k, p.neighbors, None, pins)
+                if count:
+                    entries[(t, t)] = count
             continue
 
         def visit(phi, t=t):

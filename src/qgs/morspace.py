@@ -13,6 +13,14 @@ Two engines cooperate.  A function engine works at arities (0,0) and
 pairs; it runs on finite graphs and on guarded windows of infinite
 providers.  A closure engine for higher arities runs on small finite
 graphs and keeps exact integer sparse matrices indexed by vertex tuples.
+
+On finite graphs the seeds are pinned homomorphism counts of the planar
+patterns of `quantiso.planar_patterns`.  Category "planar" spans the
+intertwiners of the quantum automorphism group; category "all" spans
+those of the classical group, because its higher-arity closures (here
+and in `ColumnLadder`) also apply the crossing of two interior tuple
+coordinates.  The crossing acts only from arity 2 on, so at arities
+(0,0) and (1,1) the two categories give the same spans.
 """
 
 from fractions import Fraction
@@ -20,9 +28,11 @@ import itertools
 import random
 
 from .graphs import (DEFAULT_AUT_LIMIT, FiniteGraph, ValidationError,
-                     all_pairs_distances, ball, classical_aut)
+                     all_pairs_distances, ball, classical_aut, distance)
 from .bilabeled import BiLabeled, circular_gadget
-from .hommat import _enumerate_homs, hom_matrix, partial_trace
+from .hommat import (TupleWindow, hom_matrix, hom_matrix_windowed,
+                     partial_trace)
+from .quantiso import planar_patterns
 from .ratmat import RatSpan
 
 
@@ -87,30 +97,7 @@ def scene_for(target, window=None):
 
 
 # ---------------------------------------------------------------------------
-# catalogue of small pointed gadgets
-
-
-def _connected_graphs_upto(max_vertices):
-    """Connected loop-free graphs on 1..max_vertices vertices, one per
-    isomorphism class (brute-force canonical form; sizes are tiny)."""
-    out = []
-    seen = set()
-    for nv in range(1, max_vertices + 1):
-        pairs = list(itertools.combinations(range(nv), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-            g = FiniteGraph(nv, edges)
-            if not g.is_connected():
-                continue
-            canon = min(
-                tuple(sorted(tuple(sorted((p[u], p[v])))
-                             for (u, v) in edges))
-                for p in itertools.permutations(range(nv)))
-            if (nv, canon) in seen:
-                continue
-            seen.add((nv, canon))
-            out.append(g)
-    return out
+# pointed gadgets for windows
 
 
 def _square_diag_graph():
@@ -129,7 +116,8 @@ def _double_square_diag_graph():
 # ---------------------------------------------------------------------------
 # function engine: arities (0,0) and (1,1)
 
-# Seed patterns on finite graphs have at most this many vertices.
+# Seed patterns on finite graphs are the planar patterns on at most this
+# many vertices; below 5 vertices every connected graph is planar.
 GADGET_VERTICES = 4
 FUNCTION_ROUNDS = 8
 # On windows, row and column sums are taken only of pair functions whose
@@ -179,49 +167,20 @@ class FunctionEngine:
                            if p[0] in s.core and p[1] in s.core]
         self.core_pair_set = set(self.core_pairs)
 
-    def _eval_pair_gadget(self, graph, x1, x2):
+    def _eval_pattern(self, graph, x1, x2):
         """Exact pinned counts of a pointed-pair pattern on every pair of
         the domain, as a homomorphism count of `graph` with x1, x2
         pinned.  Returns (function dict, support radius)."""
         s = self.scene
-        fn = {}
         blg = BiLabeled(graph, (x1, x2), (x1, x2))
         if s.is_finite:
             hm = hom_matrix(blg, s.graph)
-            for (i, _j), c in hm.entries.items():
-                fn[i] = c
         else:
-            for (u, v) in self.pairs:
-                if x1 == x2 and u != v:
-                    continue
-                pins = {x1: u, x2: v}
-                count = [0]
-                _enumerate_homs(blg, s.provider.neighbors, None, pins,
-                                lambda phi: count.__setitem__(
-                                    0, count[0] + 1))
-                if count[0]:
-                    fn[(u, v)] = count[0]
+            pairs = TupleWindow(2, self.pairs)
+            hm = hom_matrix_windowed(blg, s.provider, pairs, pairs)
+        fn = {i: c for (i, _j), c in hm.entries.items()}
         # pins at graph distance > their distance in the pattern give 0
-        radius = _pattern_distance(graph, x1, x2)
-        return fn, radius
-
-    def _eval_point_gadget(self, graph, x1):
-        s = self.scene
-        fn = {}
-        blg = BiLabeled(graph, (x1,), (x1,))
-        if s.is_finite:
-            hm = hom_matrix(blg, s.graph)
-            for (i, _j), c in hm.entries.items():
-                fn[i[0]] = c
-        else:
-            for u in self.eval_verts:
-                count = [0]
-                _enumerate_homs(blg, s.provider.neighbors, None, {x1: u},
-                                lambda phi: count.__setitem__(
-                                    0, count[0] + 1))
-                if count[0]:
-                    fn[u] = count[0]
-        return fn
+        return fn, distance(graph, x1, x2, graph.vertex_count)
 
     def _seed(self):
         s = self.scene
@@ -232,14 +191,15 @@ class FunctionEngine:
         delta = {(u, u): 1 for u in self.eval_verts}
         self._add_f1(delta, 0, "diagonal")
         if s.is_finite:
-            catalogue = _connected_graphs_upto(GADGET_VERTICES)
-            for g in catalogue:
+            for g in planar_patterns(GADGET_VERTICES):
                 for x1 in range(g.vertex_count):
-                    fn = self._eval_point_gadget(g, x1)
-                    self._add_f0(fn, "pointed pattern %d vertices" %
-                                 g.vertex_count)
                     for x2 in range(g.vertex_count):
-                        fn, rad = self._eval_pair_gadget(g, x1, x2)
+                        fn, rad = self._eval_pattern(g, x1, x2)
+                        # a vertex function is the diagonal at x1 == x2
+                        if x1 == x2:
+                            self._add_f0(_diagonal(fn),
+                                         "pointed pattern %d vertices"
+                                         % g.vertex_count)
                         self._add_f1(fn, rad, "pattern pair")
         else:
             slim = [(FiniteGraph(2, [(0, 1)]), 0, 1, "edge"),
@@ -252,14 +212,14 @@ class FunctionEngine:
                     (_double_square_diag_graph(), 0, 4,
                      "square+diagonal chained")]
             for g, x1, x2, name in slim:
-                fn, rad = self._eval_pair_gadget(g, x1, x2)
+                fn, rad = self._eval_pattern(g, x1, x2)
                 self._add_f1(fn, rad, name)
             for g, x1, name in [(FiniteGraph(2, [(0, 1)]), 0, "degree"),
                                 (_square_diag_graph(), 0, "square+diag pt"),
                                 (FiniteGraph(3, [(0, 1), (1, 2), (2, 0)]),
                                  0, "triangle pt")]:
-                fn = self._eval_point_gadget(g, x1)
-                self._add_f0(fn, name)
+                fn, _rad = self._eval_pattern(g, x1, x1)
+                self._add_f0(_diagonal(fn), name)
 
     def _core_vec(self, fn, keys):
         return {k: v for k, v in fn.items() if k in keys}
@@ -303,8 +263,7 @@ class FunctionEngine:
                 sw = {(v, u): c for (u, v), c in a[0].items()}
                 if self._add_f1(sw, a[1], "swap"):
                     added1.append(self.f1_items[-1])
-                di = {u: c for (u, v), c in a[0].items() if u == v}
-                if self._add_f0(di, "diagonal"):
+                if self._add_f0(_diagonal(a[0]), "diagonal"):
                     added0.append(self.f0_items[-1])
             for f0 in f0_new:
                 for a in self.f1_items:
@@ -379,21 +338,9 @@ def _pw_mul(a, b):
     return {k: v * b[k] for k, v in a.items() if k in b}
 
 
-def _pattern_distance(graph, x1, x2):
-    from collections import deque
-    if x1 == x2:
-        return 0
-    dist = {x1: 0}
-    todo = deque([x1])
-    while todo:
-        u = todo.popleft()
-        for w in graph.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w == x2:
-                    return dist[w]
-                todo.append(w)
-    return graph.vertex_count  # disconnected pins never constrain
+def _diagonal(fn):
+    """The vertex function u -> fn[(u, u)] of a pair function."""
+    return {u: c for (u, v), c in fn.items() if u == v}
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +408,12 @@ def dup_col(a, p):
         key = (i, j[:p + 1] + (j[p],) + j[p + 1:])
         out[key] = out.get(key, 0) + c
     return out
+
+
+def swap_row(a, p):
+    """Exchange row coordinates p and p+1: the crossing."""
+    return {(i[:p] + (i[p + 1], i[p]) + i[p + 2:], j): c
+            for (i, j), c in a.items()}
 
 
 def cap_row(a, p, n):
@@ -578,8 +531,8 @@ class MorEngine:
     def __init__(self, graph, category="planar"):
         self.graph = graph
         self.category = category
-        self.scene = Scene.finite(graph)
-        self.fe = FunctionEngine(self.scene, category=category)
+        self.fe = function_engine(graph, category)
+        self.scene = self.fe.scene
         self.pairs = sorted(
             {(n, m) for n in range(ROW_CAP + 1)
              for m in range(min(n, COL_CAP) + 1)} |
@@ -624,16 +577,9 @@ class MorEngine:
                    for v in range(nv)}
             self._add((n, m), mat)
         # cycle patterns folded to a single column label
-        max_cycle = ROW_CAP if self.category == "all" else min(ROW_CAP, 6)
-        for k in range(3, max_cycle + 1):
-            if (k, 0) not in self.items:
-                continue
-            blg = circular_gadget(k)
-            hm = hom_matrix(blg, g)
-            mat = {}
-            for (i, j), c in hm.entries.items():
-                mat[(i, j)] = mat.get((i, j), 0) + c
-            self._add((k, 0), mat)
+        for k in range(3, ROW_CAP + 1):
+            if (k, 0) in self.items:
+                self._add((k, 0), hom_matrix(circular_gadget(k), g).entries)
         # pair functions as diagonal matrices at (1, 1)
         for fn in self.fe.f1_basis():
             mat = {((u, v), (u, v)): c for (u, v), c in fn.items()}
@@ -677,6 +623,11 @@ class MorEngine:
                     for p in range(1, n):
                         emit((n - 1, m), cap_row(a, p, n))
                         emit((n - 1, m), merge_row(a, p - 1))
+                    if self.category == "all":
+                        # classical automorphisms also commute with the
+                        # crossing of two interior coordinates
+                        for p in range(1, n - 1):
+                            emit((n, m), swap_row(a, p))
                     for p in range(1, m):
                         emit((n, m - 1), cap_col(a, p, m))
                         emit((n, m - 1), merge_col(a, p - 1))
@@ -1575,6 +1526,10 @@ class ColumnLadder:
                             for other in self.levels[ky]:
                                 emit(M + ky, self._wedge(arr, M, other, ky))
                                 emit(M + ky, self._wedge(other, ky, arr, M))
+                    if self.category == "all":
+                        # the crossing of two interior loop coordinates
+                        for p in range(1, M - 1):
+                            emit(M, self.np.swapaxes(arr, p, p + 1))
                     if M >= 1:
                         emit(M, self._reverse(arr, M))
                         for t in range(M):

@@ -18,6 +18,7 @@ import itertools
 
 import numpy as np
 import networkx as nx
+from networkx.generators.atlas import _generate_graphs
 
 from .graphs import (BudgetExceeded, FiniteGraph, ValidationError,
                      classical_aut)
@@ -41,9 +42,12 @@ def planar_patterns(depth):
             % ATLAS_LIMIT)
     if depth not in _pattern_cache:
         out = []
-        for g in nx.graph_atlas_g():
+        # the atlas is ordered by vertex count, so reading stops after
+        # the last graph on `depth` vertices
+        for g in itertools.takewhile(lambda h: h.number_of_nodes() <= depth,
+                                     _generate_graphs()):
             n = g.number_of_nodes()
-            if n < 1 or n > depth:
+            if n < 1:
                 continue
             if n > 1 and not nx.is_connected(g):
                 continue
@@ -214,10 +218,10 @@ def planar_iso_test(g1, g2, depth=6):
 
 
 def _labelled_patterns(max_vertices, arity):
-    """Canonical family of bi-labeled patterns at a square arity."""
-    from .morspace import _connected_graphs_upto
+    """Every labelling at a square arity of the planar patterns on at
+    most max_vertices vertices."""
     out = []
-    for g in _connected_graphs_upto(max_vertices):
+    for g in planar_patterns(max_vertices):
         verts = range(g.vertex_count)
         for x in itertools.product(verts, repeat=arity):
             for y in itertools.product(verts, repeat=arity):

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from qgs.graphs import (ValidationError, complete_graph, cycle_graph,
-                        path_graph, tree_provider)
+from qgs.graphs import (ValidationError, classical_aut, complete_graph,
+                        cycle_graph, path_graph, tree_provider)
 from qgs.algebra import (ComponentSystem, add_into, counit, delta_checks,
                          f_elem, f_symbol, haar_system,
                          inner_product_formula, kappa, multiply, phi,
@@ -372,3 +372,14 @@ def test_word_length_guard():
     long_i = tuple(0 for _ in range(hs.max_word + 2))
     with pytest.raises(ValidationError):
         hs.phi_e(word(long_i, long_i), 0)
+
+
+def test_category_all_haar_is_classical_on_a_crossing_word():
+    # on K4 the planar value is 1/5 (S4+); the crossing gives Aut = S4
+    g = complete_graph(4)
+    hs = haar_system(g, "all", 6)
+    i = j = (0, 1, 0, 1)
+    auts, _orb = classical_aut(g)
+    hits = sum(all(p[b] == a for a, b in zip(i, j)) for p in auts)
+    stab = sum(p[0] == 0 for p in auts)
+    assert abs(hs.phi_e(word(i, j), 0) - hits / stab) < 1e-12

@@ -115,15 +115,21 @@ def test_windowed_matches_full_on_finite():
         if not k.graph.is_connected():
             continue
         p = G.finite_provider(tgt)
-        rows = H.TupleWindow(k.n, [tuple(map(str, t)) for t in
-                                   H.all_tuples_window(tgt.vertex_count, k.n).tuples])
-        cols = H.TupleWindow(k.m, [tuple(map(str, t)) for t in
-                                   H.all_tuples_window(tgt.vertex_count, k.m).tuples])
-        wm = H.hom_matrix_windowed(k, p, rows, cols)
-        fm = H.hom_matrix(k, tgt)
-        translated = {(tuple(map(str, i)), tuple(map(str, j))): v
-                      for (i, j), v in fm.entries.items()}
-        assert wm.entries == translated
+        # with y = x every label is pinned: the count-only branch
+        for blg in (k, B.BiLabeled(k.graph, k.x, k.x)):
+            if blg.n + blg.m == 0:
+                continue
+            rows = H.TupleWindow(blg.n, [
+                tuple(map(str, t)) for t in
+                H.all_tuples_window(tgt.vertex_count, blg.n).tuples])
+            cols = H.TupleWindow(blg.m, [
+                tuple(map(str, t)) for t in
+                H.all_tuples_window(tgt.vertex_count, blg.m).tuples])
+            wm = H.hom_matrix_windowed(blg, p, rows, cols)
+            fm = H.hom_matrix(blg, tgt)
+            translated = {(tuple(map(str, i)), tuple(map(str, j))): v
+                          for (i, j), v in fm.entries.items()}
+            assert wm.entries == translated
 
 
 def test_windowed_degree_on_tree():

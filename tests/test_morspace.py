@@ -92,6 +92,18 @@ def test_generic_closure_elements_are_intertwiner_shaped():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("g, planar_rank", [(k4(), 14), (c4(), 35)])
+def test_category_all_rank_is_burnside_count(g, planar_rank):
+    # path-form keys at (2, 2) are the 4-tuples (i0, i1, i2, j1), so the
+    # classical rank is the number of orbits of Aut on V^4 (Burnside)
+    auts, _orb = classical_aut(g)
+    fixed = [sum(p[v] == v for v in range(g.vertex_count)) for p in auts]
+    burnside = sum(f ** 4 for f in fixed) // len(auts)
+    assert ms.generate_mor(g, 2, 2, category="all").rank == burnside
+    assert ms.generate_mor(g, 2, 2).rank == planar_rank
+    assert burnside == planar_rank + 1
+
+
 def test_quantum_orbits_match_classical_on_small_graphs():
     import random
     rng = random.Random(7)

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,6 +37,35 @@ def test_pattern_counts():
     for g in planar_patterns(6):
         sizes[g.vertex_count] = sizes.get(g.vertex_count, 0) + 1
     assert sizes == {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 99}
+
+
+def test_four_vertex_catalogue_is_every_connected_class():
+    # every connected graph on at most 4 vertices is planar
+    pats = planar_patterns(4)
+    assert len(pats) == 10
+    nxg = [nx.Graph(list(g.undirected_edges())) for g in pats]
+    for h, g in zip(nxg, pats):
+        h.add_nodes_from(range(g.vertex_count))
+        assert nx.is_connected(h)
+    for a, b in itertools.combinations(nxg, 2):
+        assert not nx.is_isomorphic(a, b)
+
+
+def full_atlas_scan(depth):
+    """Reference: the connected planar graphs of the whole atlas."""
+    out = []
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if 1 <= n <= depth and nx.is_connected(h) and \
+                nx.check_planarity(h)[0]:
+            out.append((n, sorted(tuple(sorted(e)) for e in h.edges())))
+    return out
+
+
+def test_catalogue_equals_full_atlas_scan():
+    for depth in range(1, 8):
+        assert [(g.vertex_count, sorted(g.undirected_edges()))
+                for g in planar_patterns(depth)] == full_atlas_scan(depth)
 
 
 @st.composite
