@@ -189,12 +189,12 @@ def cmd_quantize(args):
     symmetric = spec.generating_set_symmetric()
     supports = []
     if symmetric:
-        for rs in quantization.relation_vectors(spec, args.nmax):
+        plain = quantization.relation_vectors(spec, args.nmax)
+        for rs in plain:
             supports.append({"n": rs.n, "epsilon": None,
                              "size": len(rs),
                              "support": sorted(map(tuple_names, rs.support))})
-        rotation = quantization.cyclic_rotation_report(
-            quantization.relation_vectors(spec, args.nmax))
+        rotation = quantization.cyclic_rotation_report(plain)
         rotation = {str(k): v for k, v in rotation.items()}
     else:
         for rs in quantization.signed_relation_vectors(spec, args.nmax):

@@ -8,6 +8,12 @@ integer matrices indexed by generator tuples via windowed homomorphism
 counts on the Cayley graph pinned at the identity, and probes the exact
 rational rank of the span of those matrices against partition-count
 oracles.
+
+The matrices form a monoidal functor: a composite maps to the matrix
+product and a relative tensor product to the concatenation tensor of
+its factors' matrices.  The span-rank probe therefore counts
+homomorphisms only for the split-cycle atoms and gets every other
+matrix from theirs by exact integer algebra.
 """
 
 import csv
@@ -17,6 +23,7 @@ import itertools
 from .bilabeled import BiLabeled, classify, compose, relative_tensor
 from .graphs import BudgetExceeded, FiniteGraph, ValidationError, cayley_graph
 from .hommat import TupleWindow, hom_matrix_windowed
+from .morspace import mat_mul
 from .ratmat import RatSpan
 
 
@@ -195,12 +202,13 @@ def fiber_matrix(k, spec, vertex_budget=None):
     rows, row_names = _letter_windows(spec, provider, n)
     cols, col_names = _letter_windows(spec, provider, m)
     hm = hom_matrix_windowed(k, provider, rows, cols)
+    element = dict(spec.generators)
     entries = {}
     for (i, j), v in hm.entries.items():
         s = row_names[rows.index[i]]
         t = col_names[cols.index[j]]
-        if spec.word([dict(spec.generators)[name] for name in s]) != \
-                spec.word([dict(spec.generators)[name] for name in t]):
+        if spec.word([element[name] for name in s]) != \
+                spec.word([element[name] for name in t]):
             raise ValidationError("nonzero entry off the equal-product "
                                   "support")
         entries[(s, t)] = v
@@ -211,16 +219,20 @@ def fiber_multiply(f1, f2):
     """Integer product of two fiber matrices over the shared middle index."""
     if f1.m != f2.n:
         raise ValidationError("inner arities do not match")
-    by_row = {}
-    for (s, t), v in f2.entries.items():
-        by_row.setdefault(s, []).append((t, v))
-    out = {}
-    for (s, t), v in f1.entries.items():
-        for (r, w) in by_row.get(t, []):
-            key = (s, r)
-            out[key] = out.get(key, 0) + v * w
     return FiberMatrix(None, f1.n, f2.m, f1.row_names, f2.col_names,
-                       {k: v for k, v in out.items() if v})
+                       mat_mul(f1.entries, f2.entries))
+
+
+def letter_tensor(a, b):
+    """Concatenation tensor of sparse matrices keyed by letter tuples:
+    a[s, t] * b[s', t'] at (s + s', t + t').
+
+    On fiber matrices this is the matrix of relative_tensor(k1, k2): a
+    nonzero entry of k1's matrix at (s, t) has prod(s) = prod(t), and
+    left multiplication by that element is an automorphism of the Cayley
+    graph, so k2 pinned there counts as k2 pinned at the identity."""
+    return {(s + s2, t + t2): v * w
+            for (s, t), v in a.items() for (s2, t2), w in b.items()}
 
 
 def fiber_matrix_json(fm):
@@ -265,29 +277,39 @@ def _sort_key(k):
             tuple(sorted(k.graph.undirected_edges())))
 
 
-def _layers(size, vertex_cap, layer_cap):
+def _layers(size, vertex_cap, layer_cap, factors=None):
     """Relative tensor products of split cycles, deduplicated as labeled
-    graphs and truncated by the vertex and member budgets."""
+    graphs and truncated by the vertex and member budgets.
+
+    A relative tensor glues exactly one vertex, so its vertex and label
+    counts are known, and checked against the budgets, before it is
+    built.  A dict passed as `factors` receives each layer's pair (b, a)
+    with relative_tensor(b, a) equal to it, and None for each atom."""
     atoms = [split_cycle(a, c - a)
              for c in range(2, size + 1) for a in range(c + 1)]
     cap = size + 1
 
-    def ok(k):
-        return (k.graph.vertex_count <= vertex_cap
-                and k.n <= cap and k.m <= cap)
+    def ok(vertices, n, m):
+        return vertices <= vertex_cap and n <= cap and m <= cap
 
-    layers = set(a for a in atoms if ok(a))
-    frontier = list(layers)
-    while frontier and len(layers) < layer_cap:
+    if factors is None:
+        factors = {}
+    factors.update((a, None) for a in atoms
+                   if ok(a.graph.vertex_count, a.n, a.m))
+    frontier = list(factors)
+    while frontier and len(factors) < layer_cap:
         nxt = []
         for b in frontier:
             for a in atoms:
+                if not ok(b.graph.vertex_count + a.graph.vertex_count - 1,
+                          b.n + a.n - 1, b.m + a.m - 1):
+                    continue
                 cand = relative_tensor(b, a)
-                if ok(cand) and cand not in layers:
-                    layers.add(cand)
+                if cand not in factors:
+                    factors[cand] = (b, a)
                     nxt.append(cand)
         frontier = nxt
-    return sorted(layers, key=_sort_key)
+    return sorted(factors, key=_sort_key)
 
 
 # fiber_span_rank's budgets: layers have at most FIBER_LAYER_VERTICES
@@ -304,29 +326,38 @@ def fiber_span_rank(spec, n, m):
 
     Candidates are the generated path-labeled graphs of arity (n, m):
     single layers plus compositions of two layers with matching middle
-    arity, in a deterministic order up to FIBER_PAIR_BUDGET pairs."""
+    arity, in a deterministic order up to FIBER_PAIR_BUDGET pairs.
+    Homomorphisms are counted only for the split-cycle atoms; by the
+    fiber functor a layer's matrix is the letter_tensor of its factors'
+    and a composite's the product of its two layers'."""
     gens = spec.generator_elements()
     if len(gens) ** max(n, m) > FIBER_LETTER_BUDGET:
         raise BudgetExceeded("letter tuples exceed the budget")
-    provider = cayley_graph(spec)
-    rows, row_names = _letter_windows(spec, provider, n)
-    cols, col_names = _letter_windows(spec, provider, m)
-    layers = _layers(n + m, FIBER_LAYER_VERTICES, FIBER_LAYER_CAP)
+    factors = {}
+    layers = _layers(n + m, FIBER_LAYER_VERTICES, FIBER_LAYER_CAP, factors)
+    matrices = {}
+
+    def matrix(k):
+        vec = matrices.get(k)
+        if vec is None:
+            parts = factors[k]
+            vec = (fiber_matrix(k, spec).entries if parts is None
+                   else letter_tensor(matrix(parts[0]), matrix(parts[1])))
+            matrices[k] = vec
+        return vec
+
     span = RatSpan()
     examined = 0
 
-    def feed(k):
+    def feed(vec):
         nonlocal examined
         examined += 1
-        hm = hom_matrix_windowed(k, provider, rows, cols)
-        vec = {(row_names[rows.index[i]], col_names[cols.index[j]]): v
-               for (i, j), v in hm.entries.items()}
         if vec:
             span.add(vec)
 
     direct = [k for k in layers if k.n == n + 1 and k.m == m + 1]
     for k in direct:
-        feed(k)
+        feed(matrix(k))
     left = [k for k in layers if k.n == n + 1]
     by_mid = {}
     for k in layers:
@@ -344,7 +375,7 @@ def fiber_span_rank(spec, n, m):
             cand = compose(l1, l2)
             if cand not in seen:
                 seen.add(cand)
-                feed(cand)
+                feed(mat_mul(matrix(l1), matrix(l2)))
         if not exhausted:
             break
     return {"n": n, "m": m, "rank": span.rank, "layers": len(layers),

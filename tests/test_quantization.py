@@ -2,17 +2,20 @@
 
 import pytest
 
-from qgs.bilabeled import BiLabeled, compose
+from qgs.bilabeled import BiLabeled, compose, relative_tensor
 from qgs.graphs import (BudgetExceeded, FiniteGraph, ValidationError,
                         cyclic_group, free_group, free_product_cyclic_group,
                         integers_group)
-from qgs.quantization import (FiberMatrix, cyclic_rotation_report,
-                              fiber_matrix, fiber_matrix_csv,
-                              fiber_matrix_json, fiber_multiply,
-                              fiber_span_rank, is_path_labeled,
+from qgs.quantization import (FIBER_LAYER_CAP, FIBER_LAYER_VERTICES,
+                              FIBER_PAIR_BUDGET, FiberMatrix,
+                              cyclic_rotation_report, fiber_matrix,
+                              fiber_matrix_csv, fiber_matrix_json,
+                              fiber_multiply, fiber_span_rank,
+                              is_path_labeled, letter_tensor,
                               noncrossing_even_count, relation_vectors,
                               signed_relation_vectors, split_cycle,
                               triangle_xi, _layers)
+from qgs.ratmat import RatSpan
 
 
 def gen_named(spec, name):
@@ -161,6 +164,44 @@ def test_fiber_functoriality():
     assert checked >= 100
 
 
+@pytest.mark.parametrize("spec", [integers_group(),
+                                  free_product_cyclic_group([2, 2, 2])],
+                         ids=["Z", "Z2*Z2*Z2"])
+def test_fiber_relative_tensor(spec):
+    # the matrix of a relative tensor is the concatenation tensor of the
+    # factors' matrices, exactly
+    layers = _layers(4, 10, 400)
+    cache = {}
+
+    def fm(k):
+        if k not in cache:
+            cache[k] = fiber_matrix(k, spec)
+        return cache[k]
+
+    # 100 pairs spread over all those with at most 4 letters a side
+    pairs = [(b, a) for b in layers for a in layers
+             if b.n + a.n <= 6 and b.m + a.m <= 6]
+    pairs = pairs[::len(pairs) // 100][:100]
+    assert len(pairs) == 100
+    for b, a in pairs:
+        whole = fiber_matrix(relative_tensor(b, a), spec)
+        assert letter_tensor(fm(b).entries, fm(a).entries) == whole.entries
+
+
+def test_layer_factors_rebuild_each_layer():
+    factors = {}
+    layers = _layers(4, 10, 400, factors)
+    assert layers == _layers(4, 10, 400)
+    assert set(factors) == set(layers)
+    atoms = [k for k in layers if factors[k] is None]
+    assert len(atoms) == 12
+    for k in layers:
+        if factors[k] is not None:
+            b, a = factors[k]
+            assert factors[a] is None
+            assert relative_tensor(b, a) == k
+
+
 def test_fiber_matrix_export(involutions4):
     fm = fiber_matrix(split_cycle(1, 1), involutions4)
     doc = fiber_matrix_json(fm)
@@ -177,6 +218,76 @@ def test_span_rank_small(involutions4):
     rep = fiber_span_rank(spec, 2, 2)
     assert rep["rank"] == 3
     assert rep["arithmetic"] == "exact-rational"
+
+
+# fiber_span_rank's reports when every member was counted on the Cayley
+# graph; the functor must reproduce them exactly
+FROZEN_REPORTS = [
+    ([2, 2, 2], 3, 3, 12, 6096, 7557, False),
+    ([2, 2, 2], 2, 2, 3, 233, 104, True),
+    ([2, 2, 2], 1, 3, 3, 233, 81, True),
+    ([2, 2, 2, 2], 1, 1, 1, 6, 1, True),
+    ([2, 2, 2, 2], 2, 2, 3, 233, 104, True),
+    ([2, 2, 2, 2], 3, 3, 12, 6096, 7557, False),
+    (None, 2, 2, 3, 233, 104, True),
+    (None, 1, 3, 3, 233, 81, True),
+    (None, 3, 1, 3, 233, 91, True),
+]
+
+
+@pytest.mark.parametrize("orders, n, m, rank, layers, examined, exhausted",
+                         FROZEN_REPORTS)
+def test_span_rank_reports_frozen(orders, n, m, rank, layers, examined,
+                                  exhausted):
+    spec = (integers_group() if orders is None
+            else free_product_cyclic_group(orders))
+    assert fiber_span_rank(spec, n, m) == {
+        "n": n, "m": m, "rank": rank, "layers": layers,
+        "members_examined": examined, "exhausted": exhausted,
+        "arithmetic": "exact-rational"}
+
+
+def hom_counted_span_rank(spec, n, m):
+    """fiber_span_rank with every member's matrix counted on the Cayley
+    graph instead of derived from the atoms' matrices."""
+    layers = _layers(n + m, FIBER_LAYER_VERTICES, FIBER_LAYER_CAP)
+    span = RatSpan()
+    examined = 0
+
+    def feed(k):
+        nonlocal examined
+        examined += 1
+        vec = fiber_matrix(k, spec).entries
+        if vec:
+            span.add(vec)
+
+    direct = [k for k in layers if k.n == n + 1 and k.m == m + 1]
+    for k in direct:
+        feed(k)
+    seen = set(direct)
+    pairs = 0
+    exhausted = True
+    for l1 in [k for k in layers if k.n == n + 1]:
+        for l2 in [k for k in layers if k.n == l1.m and k.m == m + 1]:
+            pairs += 1
+            if pairs > FIBER_PAIR_BUDGET:
+                exhausted = False
+                break
+            cand = compose(l1, l2)
+            if cand not in seen:
+                seen.add(cand)
+                feed(cand)
+        if not exhausted:
+            break
+    return {"n": n, "m": m, "rank": span.rank, "layers": len(layers),
+            "members_examined": examined, "exhausted": exhausted,
+            "arithmetic": "exact-rational"}
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (1, 3)])
+def test_span_rank_matches_hom_counting(n, m):
+    spec = free_product_cyclic_group([2, 2, 2])
+    assert fiber_span_rank(spec, n, m) == hom_counted_span_rank(spec, n, m)
 
 
 def test_span_rank_respects_partition_bound(involutions4):
