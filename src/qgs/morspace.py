@@ -21,6 +21,13 @@ those of the classical group, because its higher-arity closures (here
 and in `ColumnLadder`) also apply the crossing of two interior tuple
 coordinates.  The crossing acts only from arity 2 on, so at arities
 (0,0) and (1,1) the two categories give the same spans.
+
+On finite graphs the function engine stops its closure as soon as its
+ranks reach the coherent closure of the seeds, computed by 2-dimensional
+Weisfeiler-Leman refinement.  The span of the refined colour classes
+contains the seeds and is closed under every operation of the engine, so
+no later candidate could be accepted, and the bases are those of the
+full closure.
 """
 
 from fractions import Fraction
@@ -130,13 +137,26 @@ class FunctionEngine:
 
     Pair functions carry a support radius; on windows only pointwise
     operations are used and row/column sums are taken only for functions
-    whose support radius fits inside the recorded pair domain."""
+    whose support radius fits inside the recorded pair domain.
+
+    On finite scenes `bound` is the pair (diagonal colours, colours) of
+    the 2-dimensional Weisfeiler-Leman refinement of the seeded pair
+    functions, and the closure stops once the numbers of vertex and pair
+    functions equal it.  The span W of the refined colour classes
+    contains the seeds and J, and is closed under pointwise product,
+    transpose, convolution, diagonal restriction, scaling and row sums,
+    so the generated span lies in W and is all of it at equal
+    dimension: every later candidate would be rejected, and the items
+    are those of the full closure.  Where the generated span is smaller
+    than W, as on disconnected graphs, the closure runs until a round
+    adds nothing or FUNCTION_ROUNDS is reached."""
 
     def __init__(self, scene, category="planar"):
         self.scene = scene
         self.category = category
         self._build_domain()
         self._seed()
+        self.bound = self._coherent_bound()
         self._close()
         # the spans' seen-sets are only needed while closing
         del self.f0_span, self.f1_span
@@ -238,71 +258,97 @@ class FunctionEngine:
             return True
         return False
 
-    def _close(self):
-        s = self.scene
-        self.rounds = 0
-        self.stable = False
-        f0_new = list(self.f0_items)
-        f1_new = list(self.f1_items)
-        for _ in range(FUNCTION_ROUNDS):
-            self.rounds += 1
-            added0, added1 = [], []
-            # pointwise products
+    def _coherent_bound(self):
+        """(diagonal colours, colours) of the coherent closure of the
+        seeds on a finite scene, or None on a window.
+
+        Each pair starts coloured by its values under the seeded pair
+        functions and is refined by 2-dimensional Weisfeiler-Leman,
+        c'(u, v) = (c(u, v), c(v, u), multiset of (c(u, w), c(w, v))),
+        until the number of colours stops growing."""
+        if not self.scene.is_finite:
+            return None
+        verts = self.eval_verts
+        colour = {p: tuple(fn.get(p, 0) for fn, _r, _p in self.f1_items)
+                  for p in self.pairs}
+        count = len(set(colour.values()))
+        while True:
+            ids = {}
+            c = {p: ids.setdefault(k, len(ids)) for p, k in colour.items()}
+            colour = {(u, v): (c[u, v], c[v, u],
+                               tuple(sorted((c[u, w], c[w, v])
+                                            for w in verts)))
+                      for (u, v) in self.pairs}
+            grown = len(set(colour.values()))
+            if grown == count:
+                break
+            count = grown
+        return len({colour[v, v] for v in verts}), count
+
+    def _offers(self, f0_new, f1_new):
+        """One round's candidates in order, as (arity, function, radius,
+        provenance); the loops over the item lists also reach items
+        accepted earlier in the same round."""
+        finite = self.scene.is_finite
+        # pointwise products
+        for a in f1_new:
+            for b in self.f1_items:
+                yield 1, _pw_mul(a[0], b[0]), min(a[1], b[1]), "product"
+        for a in f0_new:
+            for b in self.f0_items:
+                yield 0, _pw_mul(a[0], b[0]), None, "product"
+        # swap, diagonal restriction, boundary scalings
+        for a in f1_new:
+            yield 1, {(v, u): c for (u, v), c in a[0].items()}, a[1], "swap"
+            yield 0, _diagonal(a[0]), None, "diagonal"
+        for f0 in f0_new:
+            for a in self.f1_items:
+                yield 1, {(u, v): f0[0].get(u, 0) * c
+                          for (u, v), c in a[0].items()
+                          if f0[0].get(u, 0)}, a[1], "left scaling"
+                yield 1, {(u, v): c * f0[0].get(v, 0)
+                          for (u, v), c in a[0].items()
+                          if f0[0].get(v, 0)}, a[1], "right scaling"
+        # row/column sums where the support provably fits the domain
+        for a in f1_new:
+            if finite or a[1] <= WINDOW_PAIR_RADIUS:
+                rows, cols = {}, {}
+                for (u, v), c in a[0].items():
+                    rows[u] = rows.get(u, 0) + c
+                    cols[v] = cols.get(v, 0) + c
+                yield 0, rows, None, "row sums"
+                yield 0, cols, None, "column sums"
+        # convolution is exact on finite scenes only
+        if finite:
             for a in f1_new:
                 for b in self.f1_items:
-                    prod = _pw_mul(a[0], b[0])
-                    if self._add_f1(prod, min(a[1], b[1]), "product"):
-                        added1.append(self.f1_items[-1])
-            for a in f0_new:
-                for b in self.f0_items:
-                    prod = _pw_mul(a[0], b[0])
-                    if self._add_f0(prod, "product"):
-                        added0.append(self.f0_items[-1])
-            # swap, diagonal restriction, boundary scalings
-            for a in list(f1_new):
-                sw = {(v, u): c for (u, v), c in a[0].items()}
-                if self._add_f1(sw, a[1], "swap"):
-                    added1.append(self.f1_items[-1])
-                if self._add_f0(_diagonal(a[0]), "diagonal"):
+                    for x, y in ((a, b), (b, a)):
+                        yield (1, mat_mul(x[0], y[0]), x[1] + y[1],
+                               "convolution")
+
+    def _close(self):
+        def complete():
+            return self.bound == (len(self.f0_items), len(self.f1_items))
+
+        self.rounds = 0
+        self.stable = complete()
+        f0_new = list(self.f0_items)
+        f1_new = list(self.f1_items)
+        while not self.stable and self.rounds < FUNCTION_ROUNDS:
+            self.rounds += 1
+            added0, added1 = [], []
+            for arity, fn, radius, provenance in self._offers(f0_new,
+                                                              f1_new):
+                if arity == 0 and self._add_f0(fn, provenance):
                     added0.append(self.f0_items[-1])
-            for f0 in f0_new:
-                for a in self.f1_items:
-                    left = {(u, v): f0[0].get(u, 0) * c
-                            for (u, v), c in a[0].items()
-                            if f0[0].get(u, 0)}
-                    if self._add_f1(left, a[1], "left scaling"):
-                        added1.append(self.f1_items[-1])
-                    right = {(u, v): c * f0[0].get(v, 0)
-                             for (u, v), c in a[0].items()
-                             if f0[0].get(v, 0)}
-                    if self._add_f1(right, a[1], "right scaling"):
-                        added1.append(self.f1_items[-1])
-            # row/column sums where the support provably fits the domain
-            for a in f1_new:
-                if s.is_finite or a[1] <= WINDOW_PAIR_RADIUS:
-                    rows, cols = {}, {}
-                    for (u, v), c in a[0].items():
-                        rows[u] = rows.get(u, 0) + c
-                        cols[v] = cols.get(v, 0) + c
-                    if self._add_f0(rows, "row sums"):
-                        added0.append(self.f0_items[-1])
-                    if self._add_f0(cols, "column sums"):
-                        added0.append(self.f0_items[-1])
-            # convolution is exact on finite scenes only
-            if s.is_finite:
-                for a in f1_new:
-                    for b in self.f1_items:
-                        for x, y in ((a, b), (b, a)):
-                            conv = mat_mul(x[0], y[0])
-                            if self._add_f1(conv, x[1] + y[1],
-                                            "convolution"):
-                                added1.append(self.f1_items[-1])
-            if not added0 and not added1:
-                self.stable = True
-                break
+                elif arity == 1 and self._add_f1(fn, radius, provenance):
+                    added1.append(self.f1_items[-1])
+                else:
+                    continue
+                if complete():
+                    break
+            self.stable = complete() or not (added0 or added1)
             f0_new, f1_new = added0, added1
-        else:
-            self.stable = not (added0 or added1)
 
     # ---- read-out -------------------------------------------------------
 
@@ -811,7 +857,8 @@ def quantum_orbits(target, category="all", window=None):
                      key=lambda c: fe.scene.vertex_sort_key(c[0]))
     matches = None
     if fe.scene.is_finite:
-        exactness = "exact"
+        exactness = ("exact" if fe.stable
+                     else "round-bounded(%d)" % fe.rounds)
         compact = True
         # the brute-force automorphism search is optional; beyond its
         # limit the cross-check is reported as not made (None)
@@ -1434,38 +1481,21 @@ class ColumnLadder:
 
     def _dup(self, arr, M, p):
         np = self.np
+        # duplicate coordinate p, or the closing vertex i0 at the end
+        a, b = (p, p + 1) if p < M else (0, M)
         out = np.zeros(self._shape(M + 1), dtype=np.int64)
-        for v in range(self.q):
-            dst = [slice(None)] * (M + 1)
-            src = [slice(None)] * M
-            if p == M:  # duplicate the closing vertex i0 at the end
-                dst[0] = v
-                dst[M] = v
-                src[0] = v
-            else:
-                dst[p] = v
-                dst[p + 1] = v
-                src[p] = v
-            out[tuple(dst)] = arr[tuple(src)]
+        idx = np.arange(self.q)
+        np.moveaxis(out, (a, b), (0, 1))[idx, idx] = np.moveaxis(arr, a, 0)
         return out
 
     def _scale_edge(self, arr, M, t, w):
-        np = self.np
         a, b = t, (t + 1) % M
-        out = np.zeros_like(arr)
         if a == b:  # loop of length one: the edge is (i0, i0)
-            for v in range(self.q):
-                out[v] = arr[v] * w[v, v]
-            return out
-        for u in range(self.q):
-            for v in range(self.q):
-                if w[u, v] == 0:
-                    continue
-                idx = [slice(None)] * M
-                idx[a] = u
-                idx[b] = v
-                out[tuple(idx)] = arr[tuple(idx)] * w[u, v]
-        return out
+            return arr * self.np.diagonal(w)
+        shape = [1] * M
+        shape[a] = shape[b] = self.q
+        # the wrap edge t = M - 1 runs from axis M - 1 back to axis 0
+        return arr * (w if a < b else w.T).reshape(shape)
 
     def _scale_vertex(self, arr, M, t, f):
         shape = [1] * max(M, 1)
@@ -1498,12 +1528,12 @@ class ColumnLadder:
     def _wedge(self, x, kx, y, ky):
         """Glue two loops at a shared basepoint, traversing x then y."""
         np = self.np
+        q = self.q
+        prod = (x.reshape(x.shape + (1,) * (ky - 1))
+                * y.reshape((q,) + (1,) * (kx - 1) + y.shape[1:]))
         out = np.zeros(self._shape(kx + ky), dtype=np.int64)
-        for v in range(self.q):
-            dst = [slice(None)] * (kx + ky)
-            dst[0] = v
-            dst[kx] = v
-            out[tuple(dst)] = np.multiply.outer(x[v], y[v])
+        idx = np.arange(q)
+        np.moveaxis(out, (0, kx), (0, 1))[idx, idx] = prod
         return out
 
     def _close(self):

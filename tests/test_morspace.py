@@ -262,3 +262,79 @@ def test_ibf_isometries():
     p = [q for q in ms.minimal_projections(b) if q.d_left == 2][0]
     iso, worst = ms.ibf_basis(c4(), p, 2)
     assert iso and worst < 1e-9
+
+
+# Loop forms of the ladder's tuple operations, kept as the reference for
+# the broadcast forms in ColumnLadder.
+
+def loop_dup(arr, q, M, p):
+    import numpy as np
+    out = np.zeros((q,) * (M + 1), dtype=np.int64)
+    for v in range(q):
+        dst = [slice(None)] * (M + 1)
+        src = [slice(None)] * M
+        if p == M:  # duplicate the closing vertex i0 at the end
+            dst[0] = v
+            dst[M] = v
+            src[0] = v
+        else:
+            dst[p] = v
+            dst[p + 1] = v
+            src[p] = v
+        out[tuple(dst)] = arr[tuple(src)]
+    return out
+
+
+def loop_scale_edge(arr, q, M, t, w):
+    import numpy as np
+    a, b = t, (t + 1) % M
+    out = np.zeros_like(arr)
+    if a == b:  # loop of length one: the edge is (i0, i0)
+        for v in range(q):
+            out[v] = arr[v] * w[v, v]
+        return out
+    for u in range(q):
+        for v in range(q):
+            if w[u, v] == 0:
+                continue
+            idx = [slice(None)] * M
+            idx[a] = u
+            idx[b] = v
+            out[tuple(idx)] = arr[tuple(idx)] * w[u, v]
+    return out
+
+
+def loop_wedge(x, kx, y, ky, q):
+    import numpy as np
+    out = np.zeros((q,) * (kx + ky), dtype=np.int64)
+    for v in range(q):
+        dst = [slice(None)] * (kx + ky)
+        dst[0] = v
+        dst[kx] = v
+        out[tuple(dst)] = np.multiply.outer(x[v], y[v])
+    return out
+
+
+def test_ladder_tuple_operations_match_their_loop_forms():
+    import numpy as np
+    lad = ms.ColumnLadder(p3(), "planar", max_level=2)
+    q = lad.q
+    rng = np.random.default_rng(3)
+
+    def draw(M):
+        # zeros included, so skipped and written entries both show
+        return rng.integers(-3, 4, size=(q,) * M, dtype=np.int64)
+
+    for M in range(1, 5):
+        arr = draw(M)
+        for p in range(M + 1):
+            assert np.array_equal(lad._dup(arr, M, p),
+                                  loop_dup(arr, q, M, p))
+        for t in range(M):
+            w = draw(2)
+            assert np.array_equal(lad._scale_edge(arr, M, t, w),
+                                  loop_scale_edge(arr, q, M, t, w))
+        for ky in range(1, 5):
+            other = draw(ky)
+            assert np.array_equal(lad._wedge(arr, M, other, ky),
+                                  loop_wedge(arr, M, other, ky, q))
