@@ -157,14 +157,17 @@ class HaarSystem:
                 "level %d exceeds the trusted ladder depth %d"
                 % (M, self.max_level - 1))
         members = sorted(self.orbit_members(a))
-        span = SpanModP(self.q ** max(M, 1))
+        # the cut keeps a union of Aut-orbits, so it is Aut-invariant and
+        # its values on the ladder's orbit representatives decide its rank
+        reps = self.ladder.reps[M]
+        span = SpanModP(len(reps))
         rows = []
         for arr in self.ladder.basis(M):
             cut = np.zeros_like(arr)
             for v in members:
                 cut[v] = arr[v]
             flat = cut.ravel()
-            if flat.any() and span.add(flat):
+            if flat.any() and span.add(flat[reps]):
                 rows.append(flat)
         if not rows:
             raise ValidationError("empty corner at level %d" % M)

@@ -28,14 +28,24 @@ Weisfeiler-Leman refinement.  The span of the refined colour classes
 contains the seeds and is closed under every operation of the engine, so
 no later candidate could be accepted, and the bases are those of the
 full closure.
+
+`ColumnLadder` decides ranks in Aut-orbit coordinates.  Every vector it
+generates is fixed by the classical automorphisms (Aut lies in QAut), so
+its values on the smallest tuple of each Aut-orbit determine it:
+restricting to those representatives is injective on the invariants,
+over Q and modulo a prime alike, and every accept decision is the one
+the full vectors would give.  A level whose rank reaches the number of
+representatives (the Burnside count) holds every invariant vector, so
+the ladder builds no further candidate for it.
 """
 
 from fractions import Fraction
 import itertools
 import random
 
-from .graphs import (DEFAULT_AUT_LIMIT, FiniteGraph, ValidationError,
-                     all_pairs_distances, ball, classical_aut, distance)
+from .graphs import (DEFAULT_AUT_LIMIT, BudgetExceeded, FiniteGraph,
+                     ValidationError, all_pairs_distances, ball,
+                     classical_aut, distance)
 from .bilabeled import BiLabeled, circular_gadget
 from .hommat import (TupleWindow, hom_matrix, hom_matrix_windowed,
                      partial_trace)
@@ -1362,9 +1372,14 @@ def edge_substitute(pattern, x1, x2, assignment, target, window=None,
 # of the loop by a generated pair function, scaling a coordinate by a
 # generated vertex function, summing out or merging coordinates, and
 # reversing the loop.  Independence is decided by row reduction modulo a
-# large prime; the stored values stay exact integers.
+# large prime on the values at one tuple per Aut-orbit; the stored values
+# stay exact integers.
 
 _SPAN_PRIME = 67108859
+# Every f0/f1 entry and every accepted level entry of the ladder is below
+# this in magnitude.  Each ladder operation multiplies at most two such
+# factors or sums q of them, so no int64 product or sum can overflow.
+LADDER_ENTRY_BOUND = 2 ** 31
 
 
 class SpanModP:
@@ -1375,7 +1390,8 @@ class SpanModP:
     nonzero positions and values, and a repeat is rejected without
     eliminating.  This is exact: after the first offer the vector lies
     in the span, and a span only grows, so the repeat would reduce to
-    zero anyway."""
+    zero anyway.  Once the rank reaches `dim` the span is the whole
+    space, and every input is rejected at once."""
 
     def __init__(self, dim):
         import numpy as np
@@ -1386,6 +1402,8 @@ class SpanModP:
         self.seen = set()
 
     def add(self, vec):
+        if self.full:
+            return False
         np = self.np
         p = _SPAN_PRIME
         v = np.asarray(vec, dtype=np.int64).ravel()
@@ -1415,12 +1433,32 @@ class SpanModP:
     def rank(self):
         return len(self.rows)
 
+    @property
+    def full(self):
+        return len(self.rows) == self.dim
+
 
 LADDER_ROUNDS = 8
 
 
 class ColumnLadder:
-    """Exact generated bases of the column spaces at arities (M, 0)."""
+    """Exact generated bases of the column spaces at arities (M, 0).
+
+    Rank decisions are made in Aut-orbit coordinates: `reps[M]` holds the
+    smallest flat index of each orbit of the classical automorphism
+    group on the free coordinates V^max(M, 1), and level M's span sees
+    only a candidate's values there.  The seeds and every operation of
+    the closure commute with Aut, so every candidate is Aut-invariant
+    and its restriction to `reps[M]` is injective, over Q and modulo the
+    prime: each accept decision, and so each stored array, is the one
+    the full arrays would give.  The span's dimension is then the
+    Burnside count, so a level whose rank reaches it holds every
+    invariant vector, and the closure builds no candidate for it.  Past
+    DEFAULT_AUT_LIMIT vertices no automorphism is used, and every tuple
+    is its own representative.
+
+    Raises BudgetExceeded when an f0/f1 entry or an accepted level entry
+    reaches LADDER_ENTRY_BOUND in magnitude."""
 
     def __init__(self, graph, category="planar", max_level=6):
         import numpy as np
@@ -1435,15 +1473,21 @@ class ColumnLadder:
             w = np.zeros((self.q, self.q), dtype=np.int64)
             for (u, v), c in fn.items():
                 w[u, v] = c
+            self._check_entries(w)
             self.f1_mats.append(w)
         self.f0_vecs = []
         for fn in fe.f0_basis():
             w = np.zeros(self.q, dtype=np.int64)
             for u, c in fn.items():
                 w[u] = c
+            self._check_entries(w)
             self.f0_vecs.append(w)
+        auts = (classical_aut(graph)[0] if self.q <= DEFAULT_AUT_LIMIT
+                else [])
+        self.reps = {M: self._orbit_reps(auts, max(M, 1))
+                     for M in range(max_level + 1)}
         self.levels = {M: [] for M in range(max_level + 1)}
-        self.spans = {M: SpanModP(self.q ** max(M, 1))
+        self.spans = {M: SpanModP(len(self.reps[M]))
                       for M in range(max_level + 1)}
         self._seed()
         self._close()
@@ -1456,10 +1500,34 @@ class ColumnLadder:
     def _shape(self, M):
         return (self.q,) * max(M, 1)
 
+    def _orbit_reps(self, auts, k):
+        """Smallest flat index of each orbit of `auts` on V^k, ascending.
+
+        The least image of an index under the group is the least index
+        of its orbit; one image array is built at a time, so memory is
+        O(q^k) and time O(|auts| q^k)."""
+        np = self.np
+        least = np.arange(self.q ** k)
+        for perm in auts:
+            step = np.asarray(perm, dtype=np.int64)
+            img = step
+            for _ in range(k - 1):
+                img = (img[:, None] * self.q + step).ravel()
+            np.minimum(least, img, out=least)
+        return np.flatnonzero(least == np.arange(self.q ** k))
+
+    def _check_entries(self, arr):
+        top = int(self.np.abs(arr).max())
+        if top >= LADDER_ENTRY_BOUND:
+            raise BudgetExceeded("ladder entry %d reaches the ladder entry "
+                                 "bound %d" % (top, LADDER_ENTRY_BOUND))
+
     def _add(self, M, arr):
-        if not arr.any():
+        vec = arr.ravel()[self.reps[M]]
+        if not vec.any():
             return False
-        if self.spans[M].add(arr):
+        if self.spans[M].add(vec):
+            self._check_entries(arr)
             self.levels[M].append(arr)
             return True
         return False
@@ -1544,40 +1612,42 @@ class ColumnLadder:
             self.rounds += 1
             added = {M: [] for M in self.levels}
 
-            def emit(M, arr):
-                if 0 <= M <= self.max_level and self._add(M, arr):
+            def emit(M, op, *args):
+                # a full level would reject the candidate: do not build it
+                if (0 <= M <= self.max_level and not self.spans[M].full
+                        and self._add(M, op(*args))):
                     added[M].append(self.levels[M][-1])
 
             for M in range(self.max_level + 1):
                 for arr in frontier[M]:
                     if M >= 2:
-                        emit(M, self._rotate(arr, M))
+                        emit(M, self._rotate, arr, M)
                         for ky in range(1, self.max_level - M + 1):
                             for other in self.levels[ky]:
-                                emit(M + ky, self._wedge(arr, M, other, ky))
-                                emit(M + ky, self._wedge(other, ky, arr, M))
+                                emit(M + ky, self._wedge, arr, M, other, ky)
+                                emit(M + ky, self._wedge, other, ky, arr, M)
                     if self.category == "all":
                         # the crossing of two interior loop coordinates
                         for p in range(1, M - 1):
-                            emit(M, self.np.swapaxes(arr, p, p + 1))
+                            emit(M, self.np.swapaxes, arr, p, p + 1)
                     if M >= 1:
-                        emit(M, self._reverse(arr, M))
+                        emit(M, self._reverse, arr, M)
                         for t in range(M):
                             for w in self.f1_mats:
-                                emit(M, self._scale_edge(arr, M, t, w))
+                                emit(M, self._scale_edge, arr, M, t, w)
                         for t in range(max(M, 1)):
                             for f in self.f0_vecs:
-                                emit(M, self._scale_vertex(arr, M, t, f))
+                                emit(M, self._scale_vertex, arr, M, t, f)
                     if M >= 1 and M < self.max_level:
                         for p in range(M + 1):
-                            emit(M + 1, self._dup(arr, M, p))
+                            emit(M + 1, self._dup, arr, M, p)
                     if M >= 2:
                         for p in range(1, M):
-                            emit(M - 1, self._cap(arr, M, p))
+                            emit(M - 1, self._cap, arr, M, p)
                         for p in range(M - 1, M):
-                            emit(M - 1, self._merge(arr, M, p))
+                            emit(M - 1, self._merge, arr, M, p)
                         for p in range(1, M - 1):
-                            emit(M - 1, self._merge(arr, M, p))
+                            emit(M - 1, self._merge, arr, M, p)
             frontier = added
             if not any(added.values()):
                 self.stable = True

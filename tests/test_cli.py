@@ -92,6 +92,23 @@ def test_haar_check_passes(files, capsys):
     assert doc["unimodular"] is True
 
 
+def test_haar_check_ladder_entry_bound(files, capsys, monkeypatch):
+    from qgs import algebra, morspace
+    # a fresh cache, so the P3 system is built under the patched bound
+    monkeypatch.setattr(algebra, "_systems", {})
+    # the P3 ladder's entries reach 8, and 4 already at level 3
+    monkeypatch.setattr(morspace, "LADDER_ENTRY_BOUND", 4)
+    code, doc, err = run(capsys, ["haar-check", "--graph", files["p3"],
+                                  "--depth", "5"])
+    assert code == 2 and doc is None
+    assert "ladder entry bound 4" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(algebra, "_systems", {})
+    code, doc, _ = run(capsys, ["haar-check", "--graph", files["p3"],
+                                "--depth", "5"])
+    assert code == 0 and doc["passed"] is True
+
+
 def test_planar_iso_distinguished(files, capsys):
     code, doc, _ = run(capsys, ["planar-iso", "--graph", files["c4"],
                                 "--graph", files["p4"], "--depth", "4"])

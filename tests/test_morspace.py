@@ -338,3 +338,100 @@ def test_ladder_tuple_operations_match_their_loop_forms():
             other = draw(ky)
             assert np.array_equal(lad._wedge(arr, M, other, ky),
                                   loop_wedge(arr, M, other, ky, q))
+
+
+# Aut-orbit coordinates of the ladder
+
+def p4():
+    return FiniteGraph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def star():
+    return FiniteGraph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+ORBIT_GRAPHS = {"K3": k3, "P3": p3, "K4": k4, "C4": c4, "K1,3": star}
+_ladders = {}
+
+
+def orbit_ladder(name, category):
+    """The max_level 5 ladder of an ORBIT_GRAPHS entry, built once."""
+    key = (name, category)
+    if key not in _ladders:
+        _ladders[key] = ms.ColumnLadder(ORBIT_GRAPHS[name](), category,
+                                        max_level=5)
+    return _ladders[key]
+
+
+@pytest.mark.parametrize("category", ["planar", "all"])
+@pytest.mark.parametrize("name", sorted(ORBIT_GRAPHS))
+def test_ladder_arrays_are_fixed_by_every_automorphism(name, category):
+    import numpy as np
+    lad = orbit_ladder(name, category)
+    auts, _orb = classical_aut(lad.graph)
+    for M, arrs in lad.levels.items():
+        for arr in arrs:
+            for perm in auts:
+                # (g.a)[g(i)] = a[i] on every tuple i
+                moved = np.empty_like(arr)
+                moved[np.ix_(*[list(perm)] * arr.ndim)] = arr
+                assert np.array_equal(moved, arr)
+
+
+def least_orbit_indices(g, length):
+    """Loop form of the ladder's reps: the least flat index of each
+    orbit of the automorphism group on V^length, ascending."""
+    auts, _orb = classical_aut(g)
+    q = g.vertex_count
+
+    def flat(tup):
+        idx = 0
+        for v in tup:
+            idx = idx * q + v
+        return idx
+
+    return sorted({min(flat([p[t] for t in tup]) for p in auts)
+                   for tup in product(range(q), repeat=length)})
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_GRAPHS))
+def test_ladder_reps_count_the_orbits(name):
+    lad = orbit_ladder(name, "planar")
+    for M, reps in lad.reps.items():
+        assert len(reps) == classical_loop_orbits(lad.graph, max(M, 1))
+        assert list(reps) == least_orbit_indices(lad.graph, max(M, 1))
+
+
+@pytest.mark.parametrize("category", ["planar", "all"])
+@pytest.mark.parametrize("name", ["K4", "C4", "K1,3"])
+def test_ladder_orbit_coordinates_match_full_coordinates(
+        name, category, monkeypatch):
+    import numpy as np
+    lad = orbit_ladder(name, category)
+    # the identity alone gives one representative per tuple: every span
+    # sees the full arrays, and no level is full before q^M
+    monkeypatch.setattr(ms, "classical_aut",
+                        lambda g: ([tuple(range(g.vertex_count))], None))
+    full = ms.ColumnLadder(lad.graph, category, max_level=5)
+    assert all(len(full.reps[M]) == full.q ** max(M, 1) for M in full.reps)
+    assert (full.rounds, full.stable) == (lad.rounds, lad.stable)
+    for M in lad.levels:
+        assert len(full.levels[M]) == len(lad.levels[M])
+        for a, b in zip(full.levels[M], lad.levels[M]):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("category", ["planar", "all"])
+@pytest.mark.parametrize("make", [k4, c4, p4, star])
+def test_ladder_ranks_survive_relabeling(make, category):
+    import random
+    g = make()
+    lad = ms.ColumnLadder(g, category, max_level=5)
+    perm = list(range(g.vertex_count))
+    random.Random(repr((g.undirected_edges(), category))).shuffle(perm)
+    moved = FiniteGraph(g.vertex_count,
+                        [(perm[u], perm[v]) for u, v in g.undirected_edges()])
+    other = ms.ColumnLadder(moved, category, max_level=5)
+    assert ([len(a) for a in other.levels.values()],
+            other.rounds, other.stable) == \
+        ([len(a) for a in lad.levels.values()], lad.rounds, lad.stable)

@@ -92,3 +92,19 @@ def test_ratspan_ignores_explicit_zero_entries():
     assert not span.add({(0,): 0, (1,): 1})
     assert span.add({(0,): 2, (1,): 0})
     assert span.rank == 2
+
+
+def test_span_mod_p_rejects_at_once_when_full():
+    vectors = [[1, 2, 0], [0, 1, 1], [1, 3, 1], [2, 0, 5], [0, 0, 7],
+               [3, -1, 2]]
+    span = SpanModP(3)
+    flags = []
+    for v in vectors:
+        was_full, seen = span.full, len(span.seen)
+        flags.append(span.add(np.array(v, dtype=np.int64)))
+        if was_full:
+            # rejected before its key is recorded or it is eliminated
+            assert not flags[-1] and len(span.seen) == seen
+    assert (flags, span.rank) == reference_flags(vectors)
+    assert flags == [True, True, False, True, False, False]
+    assert span.full and span.rank == span.dim
