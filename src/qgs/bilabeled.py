@@ -86,8 +86,10 @@ def classify(k):
 # ---------------------------------------------------------------------------
 # Operations
 
-def _quotient(nv, edges, ident_pairs, label_tuples):
-    """Glue vertices along ident_pairs; relabel to a compact range."""
+def _glue_map(nv, ident_pairs):
+    """Glue range(nv) along ident_pairs: (list giving each vertex its
+    glued vertex, number of glued vertices), numbered in order of each
+    class's least member."""
     parent = list(range(nv))
 
     def find(a):
@@ -101,13 +103,17 @@ def _quotient(nv, edges, ident_pairs, label_tuples):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     remap = {}
+    glued = []
     for v in range(nv):
-        r = find(v)
-        if r not in remap:
-            remap[r] = len(remap)
-    new_edges = [(remap[find(u)], remap[find(w)]) for (u, w) in edges]
-    g = FiniteGraph(len(remap), new_edges)
-    new_labels = [tuple(remap[find(v)] for v in t) for t in label_tuples]
+        glued.append(remap.setdefault(find(v), len(remap)))
+    return glued, len(remap)
+
+
+def _quotient(nv, edges, ident_pairs, label_tuples):
+    """Glue vertices along ident_pairs; relabel to a compact range."""
+    glued, count = _glue_map(nv, ident_pairs)
+    g = FiniteGraph(count, [(glued[u], glued[w]) for (u, w) in edges])
+    new_labels = [tuple(glued[v] for v in t) for t in label_tuples]
     return g, new_labels
 
 
@@ -117,14 +123,28 @@ def compose(k1, k2):
         raise ValidationError(
             "arity mismatch: cannot compose (%d,%d) with (%d,%d)"
             % (k1.n, k1.m, k2.n, k2.m))
+    count, edges, x, y = compose_key(k1, k2)
+    return BiLabeled(FiniteGraph(count, edges), x, y)
+
+
+def equality_key(k):
+    """(vertex count, edge set, x, y): equal exactly when the bi-labeled
+    graphs are equal."""
+    return (k.graph.vertex_count, k.graph.edges, k.x, k.y)
+
+
+def compose_key(k1, k2):
+    """(vertex count, edge set, x, y) of the composite of k1 and k2, by
+    gluing alone: equality_key(compose(k1, k2)) without building the
+    graph.  Arities must match."""
     off = k1.graph.vertex_count
-    nv = off + k2.graph.vertex_count
-    edges = list(k1.graph.undirected_edges())
-    edges += [(u + off, w + off) for (u, w) in k2.graph.undirected_edges()]
-    pairs = [(k1.y[i], k2.x[i] + off) for i in range(k1.m)]
-    g, (x, y) = _quotient(nv, edges, pairs,
-                          [k1.x, tuple(v + off for v in k2.y)])
-    return BiLabeled(g, x, y)
+    glued, count = _glue_map(off + k2.graph.vertex_count,
+                             [(k1.y[i], k2.x[i] + off) for i in range(k1.m)])
+    tail = glued[off:]
+    edges = frozenset([(glued[u], glued[w]) for (u, w) in k1.graph.edges]
+                      + [(tail[u], tail[w]) for (u, w) in k2.graph.edges])
+    return (count, edges, tuple(glued[v] for v in k1.x),
+            tuple(tail[v] for v in k2.y))
 
 
 def tensor(k1, k2):

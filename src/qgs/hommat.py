@@ -6,9 +6,20 @@ pinning x to i and y to j.  Finite targets get complete sparse matrices;
 locally finite providers get windowed matrices where one side of label
 tuples ranges over an explicit tuple window and exploration stays inside
 balls around the pinned vertices.
+
+Where every label of a windowed pattern is pinned (x == y), entries are
+counted, not enumerated: a plan compiled once per call assigns the
+unpinned vertices in search order, and after each assignment splits the
+rest into connected parts whose counts multiply (elimination as in
+Diaz, Serna and Thilikos, "Counting H-colorings of partial k-trees").
+A part's count is memoized on the images of its boundary, the assigned
+vertices it touches, so it is computed once per boundary image and not
+once per pinned tuple.  Other windowed patterns and finite targets
+enumerate homomorphisms by backtracking.
 """
 
 from collections import deque
+from operator import itemgetter
 
 from .graphs import ValidationError
 
@@ -56,10 +67,9 @@ class HomMatrix:
         return self.entries.get((tuple(i), tuple(j)), 0)
 
 
-def _search_order(k, pinned):
-    """Vertices of K ordered so each one (after the pins) touches an
+def _search_order(g, pinned):
+    """Vertices of g ordered so each one (after the pins) touches an
     earlier vertex when possible; BFS from the pinned set."""
-    g = k.graph
     seen = list(pinned)
     seen_set = set(pinned)
     todo = deque(pinned)
@@ -79,30 +89,38 @@ def _search_order(k, pinned):
     return seen
 
 
-def _enumerate_homs(k, neighbor_fn, all_vertices_fn, pins, visit=None):
-    """Backtracking over graph homomorphisms K -> target extending pins.
+def _pinned_search_order(g, pinned):
+    """The unpinned vertices of g in search order from the sorted pinned
+    set; raises ValidationError when a component of g has no pin, since
+    a provider cannot list every target vertex."""
+    order = _search_order(g, pinned)[len(pinned):]
+    seen = set(pinned)
+    for v in order:
+        if not any(w in seen for w in g.neighbors(v)):
+            raise ValidationError(
+                "pattern component without a pinned vertex")
+        seen.add(v)
+    return order
 
-    neighbor_fn(key) lists target neighbors; all_vertices_fn() lists all
-    target vertices (only needed when a component has no pinned vertex,
-    so it may be None for providers).  visit(phi) is called per hom with
-    the full assignment dict; without a visitor the homs are only
-    counted.  Returns the number of homs.
-    """
-    g = k.graph
+
+def _enumerate_homs(g, order, neighbor_fn, all_vertices_fn, pins, visit):
+    """Backtracking over graph homomorphisms g -> target extending pins.
+
+    `order` lists the unpinned vertices, each after a neighbor where it
+    has one.  neighbor_fn(key) lists target neighbors; all_vertices_fn()
+    lists all target vertices (only reached by a vertex with no earlier
+    neighbor, so it may be None when every component is pinned).
+    visit(phi) is called per hom, in sorted candidate order, with the
+    full assignment dict."""
     for (u, v) in pins.items():
         for w in g.neighbors(u):
             if w in pins and pins[w] not in neighbor_fn(v):
-                return 0
-    order = [v for v in _search_order(k, sorted(pins)) if v not in pins]
+                return
     phi = dict(pins)
-    count = 0
 
     def extend(idx):
-        nonlocal count
         if idx == len(order):
-            count += 1
-            if visit is not None:
-                visit(phi)
+            visit(phi)
             return
         v = order[idx]
         assigned_nbrs = [phi[w] for w in g.neighbors(v) if w in phi]
@@ -110,25 +128,16 @@ def _enumerate_homs(k, neighbor_fn, all_vertices_fn, pins, visit=None):
             cands = set(neighbor_fn(assigned_nbrs[0]))
             for t in assigned_nbrs[1:]:
                 cands &= set(neighbor_fn(t))
-            if g.has_edge(v, v):
-                cands = {c for c in cands if c in neighbor_fn(c)}
         else:
-            if all_vertices_fn is None:
-                raise ValidationError(
-                    "component without pinned vertex on an infinite target")
             cands = all_vertices_fn()
-            if g.has_edge(v, v):
-                cands = [c for c in cands if c in neighbor_fn(c)]
-        if visit is None and idx == len(order) - 1:
-            count += len(cands)
-            return
+        if g.has_edge(v, v):
+            cands = [c for c in cands if c in neighbor_fn(c)]
         for c in sorted(cands):
             phi[v] = c
             extend(idx + 1)
             del phi[v]
 
     extend(0)
-    return count
 
 
 def hom_matrix(k, target):
@@ -139,9 +148,148 @@ def hom_matrix(k, target):
         key = (tuple(phi[v] for v in k.x), tuple(phi[v] for v in k.y))
         entries[key] = entries.get(key, 0) + 1
 
-    _enumerate_homs(k, target.neighbors, lambda: range(target.vertex_count),
-                    {}, visit)
+    _enumerate_homs(k.graph, _search_order(k.graph, []), target.neighbors,
+                    lambda: range(target.vertex_count), {}, visit)
     return HomMatrix(k, entries)
+
+
+class _Part:
+    """A connected set of unassigned pattern vertices in a counting plan.
+
+    Its boundary is the set of assigned vertices it touches, and
+    `images` reads their images off an assignment.  Given those, its
+    count sums over the images of `vertex` (the common target neighbors
+    of the images of `anchors`, its assigned neighbors, kept only if
+    looped where `loop` is set) the product of the counts of `parts`,
+    the components of the rest once `vertex` is assigned.  `index`
+    numbers the part's memo table, and is None where the boundary is
+    every assigned vertex: those images differ for every pinned tuple
+    and every branch of the search, so a memo never hits."""
+
+    __slots__ = ("index", "images", "vertex", "anchors", "loop", "parts")
+
+
+class _NeighborSets(dict):
+    """Target neighbor sets as frozensets, read from neighbor_fn once
+    per vertex."""
+
+    def __init__(self, neighbor_fn):
+        super().__init__()
+        self.neighbor_fn = neighbor_fn
+
+    def __missing__(self, t):
+        s = self[t] = frozenset(self.neighbor_fn(t))
+        return s
+
+
+class _Plan:
+    """Counting plan of the homomorphisms of g extending a pinning of
+    the sorted vertex list `pinned`.
+
+    Unpinned vertices are assigned in search order; after each
+    assignment the unassigned rest of a part splits into its connected
+    components, whose counts multiply.  `parts` are the top-level
+    parts, `size` the number of memoized parts and `pin_edges` the
+    edges of g between pinned vertices, loops included."""
+
+    def __init__(self, g, pinned):
+        order = _pinned_search_order(g, pinned)
+        rank = {v: i for i, v in enumerate(order)}
+        pinned_set = frozenset(pinned)
+        self.pin_edges = [(u, w) for u in pinned for w in g.neighbors(u)
+                          if w in pinned_set]
+        self.size = 0
+
+        def split(vertices, assigned):
+            # one part per component of the vertices, in search order
+            left = set(vertices)
+            parts = []
+            for v in vertices:
+                if v not in left:
+                    continue
+                left.discard(v)
+                comp, todo = [v], [v]
+                while todo:
+                    for w in g.neighbors(todo.pop()):
+                        if w in left:
+                            left.discard(w)
+                            comp.append(w)
+                            todo.append(w)
+                comp.sort(key=rank.__getitem__)
+                parts.append(part(comp, assigned))
+            return tuple(parts)
+
+        def part(comp, assigned):
+            p = _Part()
+            boundary = sorted({w for u in comp for w in g.neighbors(u)
+                               if w in assigned})
+            p.images = itemgetter(*boundary)
+            p.index = None
+            if len(boundary) < len(assigned):
+                p.index = self.size
+                self.size += 1
+            # the first vertex in search order has an assigned neighbor
+            p.vertex = v = comp[0]
+            p.anchors = tuple(w for w in g.neighbors(v) if w in assigned)
+            p.loop = g.has_edge(v, v)
+            p.parts = split(comp[1:], assigned | {v})
+            return p
+
+        self.parts = split(order, pinned_set)
+
+    def counter(self, neighbor_fn):
+        """count(pins): the number of homomorphisms extending the pin
+        dict, 0 when the pins miss an edge between pinned vertices.
+
+        Memoized parts' counts are kept per image of their boundary,
+        and target neighbor sets are cached, for the life of the
+        counter."""
+        memo = [{} for _ in range(self.size)]
+        nbrs = _NeighborSets(neighbor_fn)
+
+        def part_count(p, phi):
+            if p.index is not None:
+                table = memo[p.index]
+                images = p.images(phi)
+                total = table.get(images)
+                if total is not None:
+                    return total
+            anchors = p.anchors
+            cands = nbrs[phi[anchors[0]]]
+            for w in anchors[1:]:
+                cands = cands & nbrs[phi[w]]
+            if p.loop:
+                cands = [c for c in cands if c in nbrs[c]]
+            if not p.parts:
+                total = len(cands)
+            else:
+                total = 0
+                v = p.vertex
+                for c in cands:
+                    phi[v] = c
+                    prod = 1
+                    for sub in p.parts:
+                        prod *= part_count(sub, phi)
+                        if not prod:
+                            break
+                    total += prod
+            if p.index is not None:
+                table[images] = total
+            return total
+
+        def count(pins):
+            for u, w in self.pin_edges:
+                if pins[w] not in nbrs[pins[u]]:
+                    return 0
+            phi = dict(pins)
+            total = 1
+            for p in self.parts:
+                total *= part_count(p, phi)
+                if not total:
+                    break
+            return total
+
+        return count
 
 
 def hom_matrix_windowed(k, p, rows, cols):
@@ -149,16 +297,26 @@ def hom_matrix_windowed(k, p, rows, cols):
 
     Every (row, col) pair with row in `rows` and col in `cols` gets its
     exact count; pairs whose column falls outside `cols` are dropped.
-    The bi-labeled graph must be connected with at least one label."""
+    Every component of the bi-labeled graph must have a label; a
+    pattern with one that has none raises ValidationError before any
+    tuple is scanned.  Where every label is pinned (x == y) the entries
+    come from a counting plan; otherwise homomorphisms are enumerated."""
     if k.n + k.m == 0:
         raise ValidationError("windowed counting needs at least one label")
     if rows.arity != k.n or cols.arity != k.m:
         raise ValidationError("window arities do not match the labels")
+    g = k.graph
     entries = {}
     if k.n >= 1:
         pin_labels, scan, out_labels = k.x, rows, k.y
     else:
         pin_labels, scan, out_labels = k.y, cols, k.x
+    pinned = sorted(set(pin_labels))
+    if k.x == k.y:
+        # every label is pinned, so the count is the whole entry
+        count = _Plan(g, pinned).counter(p.neighbors)
+    else:
+        order = _pinned_search_order(g, pinned)
     for t in scan.tuples:
         pins = {}
         ok = True
@@ -170,11 +328,10 @@ def hom_matrix_windowed(k, p, rows, cols):
         if not ok:
             continue
         if k.x == k.y:
-            # every label is pinned, so the count is the whole entry
             if t in cols:
-                count = _enumerate_homs(k, p.neighbors, None, pins)
-                if count:
-                    entries[(t, t)] = count
+                c = count(pins)
+                if c:
+                    entries[(t, t)] = c
             continue
 
         def visit(phi, t=t):
@@ -190,7 +347,7 @@ def hom_matrix_windowed(k, p, rows, cols):
                     return
             entries[key] = entries.get(key, 0) + 1
 
-        _enumerate_homs(k, p.neighbors, None, pins, visit)
+        _enumerate_homs(g, order, p.neighbors, None, pins, visit)
     return HomMatrix(k, entries, row_window=rows, col_window=cols,
                      complete=False)
 

@@ -20,7 +20,8 @@ import csv
 import io
 import itertools
 
-from .bilabeled import BiLabeled, classify, compose, relative_tensor
+from .bilabeled import (BiLabeled, classify, compose_key, equality_key,
+                        relative_tensor)
 from .graphs import BudgetExceeded, FiniteGraph, ValidationError, cayley_graph
 from .hommat import TupleWindow, hom_matrix_windowed
 from .morspace import mat_mul
@@ -363,7 +364,8 @@ def fiber_span_rank(spec, n, m):
     for k in layers:
         if k.m == m + 1:
             by_mid.setdefault(k.n, []).append(k)
-    seen = set(direct)
+    # composites are told apart by their equality keys, not built
+    seen = {equality_key(k) for k in direct}
     pairs = 0
     exhausted = True
     for l1 in left:
@@ -372,7 +374,7 @@ def fiber_span_rank(spec, n, m):
             if pairs > FIBER_PAIR_BUDGET:
                 exhausted = False
                 break
-            cand = compose(l1, l2)
+            cand = compose_key(l1, l2)
             if cand not in seen:
                 seen.add(cand)
                 feed(mat_mul(matrix(l1), matrix(l2)))

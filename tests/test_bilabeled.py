@@ -66,6 +66,22 @@ def test_compose_preserves_connected():
         done += 1
 
 
+def test_compose_key_is_the_composite_equality():
+    rng = random.Random(8)
+    pairs = []
+    while len(pairs) < 300:
+        k1 = random_blg(rng, max_v=3, max_lab=2)
+        k2 = random_blg(rng, max_v=3, max_lab=2)
+        if k1.m == k2.n:
+            pairs.append((k1, k2))
+    composites = [B.compose(k1, k2) for k1, k2 in pairs]
+    keys = [B.compose_key(k1, k2) for k1, k2 in pairs]
+    assert keys == [B.equality_key(k) for k in composites]
+    for a, ka in zip(composites, keys):
+        for b, kb in zip(composites, keys):
+            assert (ka == kb) == (a == b)
+
+
 def test_transpose_involution_and_tilde():
     rng = random.Random(3)
     for _ in range(50):

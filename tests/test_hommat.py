@@ -1,5 +1,6 @@
 """Tests for exact homomorphism matrices and partial traces."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from qgs import bilabeled as B
 from qgs import hommat as H
 from qgs import graphs as G
+from qgs import morspace as M
 from qgs.graphs import FiniteGraph, cycle_graph, path_graph
 
 
@@ -163,6 +165,197 @@ def test_windowed_square_diagonal_on_grandparent3():
     hm = H.hom_matrix_windowed(gadget, p, rows, cols)
     assert p.edge_class(v, w) == "positive_short"
     assert hm.entry((v,), (w,)) == 5
+
+
+def oracle_count(g, pins, neighbors):
+    """Plain backtracking count of the homomorphisms g -> target that
+    extend the pin dict: each next vertex is the least one with an
+    assigned neighbor, tried at every neighbor of that neighbor's image
+    and kept if every edge to an assigned vertex, loops included, maps
+    to an edge."""
+    def fits(phi, v, c):
+        return all((c if w == v else phi[w]) in neighbors(c)
+                   for w in g.neighbors(v) if w == v or w in phi)
+
+    if not all(fits(pins, v, c) for v, c in pins.items()):
+        return 0
+
+    def extend(phi):
+        free = [v for v in range(g.vertex_count) if v not in phi
+                and any(w in phi for w in g.neighbors(v))]
+        if not free:
+            return 1
+        v = free[0]
+        anchor = next(w for w in g.neighbors(v) if w in phi)
+        total = 0
+        for c in neighbors(phi[anchor]):
+            if fits(phi, v, c):
+                phi[v] = c
+                total += extend(phi)
+                del phi[v]
+        return total
+
+    return extend(dict(pins))
+
+
+def random_pattern(rng, max_v, loops):
+    """A connected pattern on at most max_v vertices, each vertex looped
+    with probability `loops`: a random graph, or blobs chained at cut
+    vertices so that pins split the rest into independent parts."""
+    if rng.random() < 0.5:
+        nv = rng.randint(1, max_v)
+        edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
+                 if rng.random() < 0.4]
+        edges += [(v, rng.randrange(v)) for v in range(1, nv)]
+    else:
+        nv, edges = 1, []
+        while nv < max_v:
+            size = rng.randint(1, min(3, max_v - nv))
+            glue = rng.randrange(nv)
+            blob = [glue] + list(range(nv, nv + size))
+            edges += [(a, b) for i, a in enumerate(blob)
+                      for b in blob[i + 1:] if rng.random() < 0.7]
+            edges += [(b, rng.choice(blob[:i + 1]))
+                      for i, b in enumerate(blob[1:])]
+            nv += size
+    edges += [(v, v) for v in range(nv) if rng.random() < loops]
+    return FiniteGraph(nv, edges)
+
+
+def check_plan_counts(rng, p, verts, cases, max_v, tuples_per_case,
+                      loops=0.0):
+    for _ in range(cases):
+        g = random_pattern(rng, max_v, loops)
+        x = tuple(rng.randrange(g.vertex_count)
+                  for _ in range(rng.randint(1, 3)))
+        k = B.BiLabeled(g, x, x)
+        window = H.TupleWindow(len(x), sorted({
+            tuple(rng.choice(verts) for _ in x)
+            for _ in range(tuples_per_case)}))
+        hm = H.hom_matrix_windowed(k, p, window, window)
+        want = {}
+        for t in window.tuples:
+            pins = {}
+            for v, img in zip(x, t):
+                pins.setdefault(v, img)
+            if all(pins[v] == img for v, img in zip(x, t)):
+                c = oracle_count(g, pins, p.neighbors)
+                if c:
+                    want[(t, t)] = c
+        assert hm.entries == want
+        assert list(hm.entries) == [key for key in
+                                    ((t, t) for t in window.tuples)
+                                    if key in want]
+
+
+def test_plan_counts_match_backtracking_on_finite_providers():
+    rng = random.Random(11)
+    for _ in range(40):
+        tgt = random_target(rng, max_v=6)
+        tgt = FiniteGraph(tgt.vertex_count, tgt.undirected_edges() + [
+            (v, v) for v in range(tgt.vertex_count) if rng.random() < 0.3])
+        verts = [str(v) for v in range(tgt.vertex_count)]
+        check_plan_counts(rng, G.finite_provider(tgt), verts, 5, 7, 12,
+                          loops=0.1)
+
+
+def test_plan_counts_match_backtracking_on_tree_and_grandparent():
+    rng = random.Random(12)
+    tree = G.tree_provider(3)
+    verts = G.ball(tree, tree.base_vertex, 2).keys
+    check_plan_counts(rng, tree, verts, 60, 7, 6)
+    gp = G.grandparent_graph(3)
+    verts = G.ball(gp, gp.base_vertex, 1).keys
+    check_plan_counts(rng, gp, verts, 60, 6, 4)
+
+
+def test_windowed_rejects_unpinned_components_before_scanning():
+    p = G.grandparent_graph(3)
+    empty = H.TupleWindow(1, [])
+    lonely = FiniteGraph(3, [(0, 1)])
+    # all labels pinned: the counting plan
+    with pytest.raises(G.ValidationError):
+        H.hom_matrix_windowed(B.BiLabeled(lonely, (0,), (0,)), p,
+                              empty, empty)
+    # free output labels: the enumeration
+    with pytest.raises(G.ValidationError):
+        H.hom_matrix_windowed(B.BiLabeled(lonely, (0,), (1,)), p,
+                              empty, empty)
+    # a pin that no homomorphism extends still raises
+    dead = G.finite_provider(FiniteGraph(2, []))
+    rows = H.TupleWindow(1, [("0",)])
+    with pytest.raises(G.ValidationError):
+        H.hom_matrix_windowed(B.BiLabeled(lonely, (0,), (1,)), dead,
+                              rows, rows)
+
+
+# The window seeds of FunctionEngine as (pattern, x1, x2), and the
+# (entries, sum, sha256 prefix of the item list) of each on the d = 3
+# grandparent window of radius 4.
+def window_seeds():
+    sq = M._square_diag_graph()
+    tri = FiniteGraph(3, [(0, 1), (1, 2), (2, 0)])
+    edge = FiniteGraph(2, [(0, 1)])
+    return [(edge, 0, 1), (sq, 0, 1), (tri, 0, 1),
+            (FiniteGraph(3, [(0, 1), (1, 2)]), 0, 0), (sq, 0, 3),
+            (M._double_square_diag_graph(), 0, 4),
+            (edge, 0, 0), (sq, 0, 0), (tri, 0, 0)]
+
+
+WINDOW_SEEDS_D3 = [
+    (670, 670, "0f5a5768299797bf"),
+    (670, 3018, "3013d5b1a47bbdb9"),
+    (670, 1342, "a258c2688700deda"),
+    (169, 10816, "74ba8f3bf63bcb93"),
+    (169, 2366, "a68ab75413c4a92d"),
+    (839, 55852, "7eed8b910ee9f626"),
+    (169, 1352, "9b2eec852699736d"),
+    (169, 5746, "16bbcdff0a58c023"),
+    (169, 2366, "a68ab75413c4a92d"),
+]
+
+
+def test_window_seed_counts_frozen():
+    eng = M.FunctionEngine(M.scene_for(G.grandparent_graph(3),
+                                       {"radius": 4}))
+    for (g, x1, x2), want in zip(window_seeds(), WINDOW_SEEDS_D3):
+        fn, _rad = eng._eval_pattern(g, x1, x2)
+        items = list(fn.items())
+        digest = hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+        assert (len(items), sum(fn.values()), digest) == want
+
+
+def test_chained_square_count_is_matrix_square():
+    p = G.grandparent_graph(3)
+    sq = M._square_diag_graph()
+    chained = M._double_square_diag_graph()
+    b = G.ball(p, p.base_vertex, 1)
+    pairs = [(u, v) for u in b.keys for v in b.keys
+             if u == v or v in p.neighbors(u)]
+    win = H.TupleWindow(2, pairs)
+    got = H.hom_matrix_windowed(B.BiLabeled(chained, (0, 4), (0, 4)),
+                                p, win, win).entries
+    halves = sorted({(u, h) for u, v in pairs
+                     for h in set(p.neighbors(u)) & set(p.neighbors(v))}
+                    | {(h, v) for u, v in pairs
+                       for h in set(p.neighbors(u)) & set(p.neighbors(v))})
+    hwin = H.TupleWindow(2, halves)
+    f = H.hom_matrix_windowed(B.BiLabeled(sq, (0, 1), (0, 1)),
+                              p, hwin, hwin).entries
+    for u, v in pairs:
+        want = sum(f.get(((u, h), (u, h)), 0) * f.get(((h, v), (h, v)), 0)
+                   for h in p.neighbors(u))
+        assert got.get(((u, v), (u, v)), 0) == want
+    assert len(got) == len(pairs)
+
+
+def test_chained_square_plan_splits():
+    plan = H._Plan(M._double_square_diag_graph(), [0, 4])
+
+    def splits(parts):
+        return any(len(p.parts) >= 2 or splits(p.parts) for p in parts)
+
+    assert splits(plan.parts)
 
 
 def test_partial_trace_adjacency_c4():
