@@ -101,6 +101,8 @@ class HaarSystem:
         self.orbits = quantum_orbits(graph, category=category)
         self.mu = mu_assignment(graph, category=category).mu
         self.ladder = ColumnLadder(graph, category, max_level=max_level)
+        # the untrusted top level is only needed while closing
+        del self.ladder.levels[max_level]
         self._corners = {}
 
     def orbit_of(self, v):

@@ -89,6 +89,9 @@ def cmd_dims(args):
                                       category=args.category, window=window)
         projections = morspace.minimal_projections(basis, tol=args.tol,
                                                    seed=args.seed)
+        # the spectral order depends on the spanning set; sort canonically
+        projections.sort(key=lambda p: (p.block is not None, p.block,
+                                        p.d_left, p.d_right, p.exact))
         out.append({
             "arity": arity, "mor_dimension": len(basis.matrices),
             "projections": [{"block": list(p.block)

@@ -11,16 +11,21 @@ edges.
 Two engines cooperate.  A function engine works at arities (0,0) and
 (1,1), where every span element is a function on vertices or on vertex
 pairs; it runs on finite graphs and on guarded windows of infinite
-providers.  A closure engine for higher arities runs on small finite
-graphs and keeps exact integer sparse matrices indexed by vertex tuples.
+providers.  The column ladder (`ColumnLadder`) is the one closure engine
+for higher arities: on finite graphs it generates the column spaces
+Mor(M, 0) as dense integer arrays, seeded by the function engine's
+vertex functions at levels 0 and 1 and its pair functions at level 2.
+Every Mor(n, m) with n + m <= MOR_LEVEL is read off ladder level n + m
+by rotation (`MorEngine`): in path form both spaces have the same n + m
+free coordinates around one closed loop.
 
 On finite graphs the seeds are pinned homomorphism counts of the planar
 patterns of `quantiso.planar_patterns`.  Category "planar" spans the
 intertwiners of the quantum automorphism group; category "all" spans
-those of the classical group, because its higher-arity closures (here
-and in `ColumnLadder`) also apply the crossing of two interior tuple
-coordinates.  The crossing acts only from arity 2 on, so at arities
-(0,0) and (1,1) the two categories give the same spans.
+those of the classical group, because the ladder also applies the
+crossing of two interior loop coordinates.  The crossing acts only from
+arity 2 on, so at arities (0,0) and (1,1) the two categories give the
+same spans.
 
 On finite graphs the function engine stops its closure as soon as its
 ranks reach the coherent closure of the seeds, computed by 2-dimensional
@@ -40,13 +45,11 @@ the ladder builds no further candidate for it.
 """
 
 from fractions import Fraction
-import itertools
 import random
 
 from .graphs import (DEFAULT_AUT_LIMIT, BudgetExceeded, FiniteGraph,
-                     ValidationError, all_pairs_distances, ball,
-                     classical_aut, distance)
-from .bilabeled import BiLabeled, circular_gadget
+                     ValidationError, ball, classical_aut, distance)
+from .bilabeled import BiLabeled
 from .hommat import (TupleWindow, hom_matrix, hom_matrix_windowed,
                      partial_trace)
 from .quantiso import planar_patterns
@@ -449,97 +452,6 @@ def rel_tensor(a, b):
     return out
 
 
-def dup_row(a, p):
-    """Insert a duplicate of row coordinate p right after it."""
-    out = {}
-    for (i, j), c in a.items():
-        key = (i[:p + 1] + (i[p],) + i[p + 1:], j)
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def dup_col(a, p):
-    out = {}
-    for (i, j), c in a.items():
-        key = (i, j[:p + 1] + (j[p],) + j[p + 1:])
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def swap_row(a, p):
-    """Exchange row coordinates p and p+1: the crossing."""
-    return {(i[:p] + (i[p + 1], i[p]) + i[p + 2:], j): c
-            for (i, j), c in a.items()}
-
-
-def cap_row(a, p, n):
-    """Sum out interior row coordinate p (0 < p < n)."""
-    if not 0 < p < n:
-        raise ValidationError("only interior coordinates may be summed out")
-    out = {}
-    for (i, j), c in a.items():
-        key = (i[:p] + i[p + 1:], j)
-        out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def cap_col(a, p, m):
-    if not 0 < p < m:
-        raise ValidationError("only interior coordinates may be summed out")
-    out = {}
-    for (i, j), c in a.items():
-        key = (i, j[:p] + j[p + 1:])
-        out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def merge_row(a, p):
-    """Restrict to entries where row coordinates p, p+1 agree, keep one."""
-    out = {}
-    for (i, j), c in a.items():
-        if i[p] == i[p + 1]:
-            key = (i[:p] + i[p + 1:], j)
-            out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def merge_col(a, p):
-    out = {}
-    for (i, j), c in a.items():
-        if j[p] == j[p + 1]:
-            key = (i, j[:p] + j[p + 1:])
-            out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def scale_row(a, p, fn1):
-    """Multiply entries by a pair function of row coordinates (p, p+1)."""
-    out = {}
-    for (i, j), c in a.items():
-        w = fn1.get((i[p], i[p + 1]), 0)
-        if w:
-            out[(i, j)] = c * w
-    return out
-
-
-def scale_col(a, p, fn1):
-    out = {}
-    for (i, j), c in a.items():
-        w = fn1.get((j[p], j[p + 1]), 0)
-        if w:
-            out[(i, j)] = c * w
-    return out
-
-
-def scale_point(a, p, fn0, side="row"):
-    out = {}
-    for (i, j), c in a.items():
-        w = fn0.get(i[p] if side == "row" else j[p], 0)
-        if w:
-            out[(i, j)] = c * w
-    return out
-
-
 def s_map(a, n):
     """Fold a square matrix at arity (n, n) into a column at (2n, 0):
     entry at row (i0..i2n) is a[(i0..in), (i2n..in)] when i0 == i2n."""
@@ -563,163 +475,52 @@ def t_map(a, n):
 
 
 # ---------------------------------------------------------------------------
-# higher-arity closure engine (finite graphs)
+# Mor(n, m) by unfolding the column ladder (finite graphs)
 
 
-# MorEngine's arity caps: rows n <= ROW_CAP, columns m <= min(n, COL_CAP),
-# and the square pairs (n, n) with n <= SQUARE_CAP.
-ROW_CAP = 4
-COL_CAP = 2
-SQUARE_CAP = 2
-MOR_ROUNDS = 10
-# The closure stops after the round in which the stored items exceed this.
-MOR_SIZE_BUDGET = 200000
+# Mor(n, m) is served for n + m <= MOR_LEVEL.  The ladder is built one
+# level higher, because a level can lack elements that only come down
+# from the level above.
+MOR_LEVEL = 4
+
+
+def _unfold(arr, n, m):
+    """The Mor(n, m) element of a level-(n + m) ladder array: the entry at
+    ((i0..in), (j0..jm)) is arr[i0, .., in, j_{m-1}, .., j1], with
+    j0 == i0 and jm == in (the loop is read from i0 to in, then back
+    along the columns)."""
+    idx = arr.nonzero()
+    loop = [c.tolist() for c in idx]
+    loop.append(loop[0])  # the closing vertex: i_M == i0
+    rows = loop[:n + 1]
+    cols = [loop[0]] + [loop[n + m - k] for k in range(1, m + 1)]
+    return dict(zip(zip(zip(*rows), zip(*cols)), arr[idx].tolist()))
 
 
 class MorEngine:
-    """Generated intertwiner spans at all arity pairs up to caps.
-
-    Works over a finite graph with exact integer matrices.  The closure
-    applies composition, adjoints, reversal, glued tensors, coordinate
-    duplication and contraction, folds of square matrices into columns,
-    and scalings by generated vertex/pair functions, until no span grows."""
+    """Generated intertwiner spans at every arity pair with n + m <=
+    MOR_LEVEL, read off the column ladder by rotation.  `items` caches
+    the unfolded bases of the pairs requested so far."""
 
     def __init__(self, graph, category="planar"):
         self.graph = graph
         self.category = category
-        self.fe = function_engine(graph, category)
-        self.scene = self.fe.scene
-        self.pairs = sorted(
-            {(n, m) for n in range(ROW_CAP + 1)
-             for m in range(min(n, COL_CAP) + 1)} |
-            {(n, n) for n in range(SQUARE_CAP + 1)})
-        self.spans = {pq: RatSpan() for pq in self.pairs}
-        self.items = {pq: [] for pq in self.pairs}
-        self._seed()
-        self._close()
-        # the spans' seen-sets are only needed while closing
-        del self.spans
-
-    def _add(self, pq, mat):
-        if not mat:
-            return False
-        if self.spans[pq].add(mat):
-            self.items[pq].append(mat)
-            return True
-        return False
-
-    def _seed(self):
-        g = self.graph
-        nv = g.vertex_count
-        # distance-profile diagonals at square arities
-        rows = all_pairs_distances(g)
-        dist = {(i, j): d for i in range(nv) for j, d in enumerate(rows[i])
-                if d >= 0}
-        dvals = sorted(set(dist.values()))
-        for n in range(min(3, ROW_CAP) + 1):
-            if (n, n) not in self.items:
-                continue
-            for prof in itertools.product(dvals, repeat=n):
-                mat = {}
-                for tup in itertools.product(range(nv), repeat=n + 1):
-                    ok = all(dist.get((tup[k], tup[k + 1])) == prof[k]
-                             for k in range(n))
-                    if ok:
-                        mat[(tup, tup)] = 1
-                self._add((n, n), mat)
-        # full collapse at every pair
-        for (n, m) in self.pairs:
-            mat = {(((v,) * (n + 1)), ((v,) * (m + 1))): 1
-                   for v in range(nv)}
-            self._add((n, m), mat)
-        # cycle patterns folded to a single column label
-        for k in range(3, ROW_CAP + 1):
-            if (k, 0) in self.items:
-                self._add((k, 0), hom_matrix(circular_gadget(k), g).entries)
-        # pair functions as diagonal matrices at (1, 1)
-        for fn in self.fe.f1_basis():
-            mat = {((u, v), (u, v)): c for (u, v), c in fn.items()}
-            self._add((1, 1), mat)
-
-    def _total_items(self):
-        return sum(len(v) for v in self.items.values())
-
-    def _close(self):
-        self.rounds = 0
-        self.stable = False
-        frontier = {pq: list(self.items[pq]) for pq in self.pairs}
-        f1s = self.fe.f1_basis()
-        f0s = self.fe.f0_basis()
-        for _ in range(MOR_ROUNDS):
-            self.rounds += 1
-            added = {pq: [] for pq in self.pairs}
-
-            def emit(pq, mat):
-                if pq in self.items and self._add(pq, mat):
-                    added[pq].append(mat)
-
-            for (n, m) in self.pairs:
-                new = frontier[(n, m)]
-                if not new:
-                    continue
-                for a in new:
-                    emit((m, n), mat_adjoint(a))
-                    emit((m, n), mat_tilde(a))
-                    for p in range(n):
-                        emit((n + 1, m), dup_row(a, p))
-                        for fn in f1s:
-                            emit((n, m), scale_row(a, p, fn))
-                    for p in range(m):
-                        emit((n, m + 1), dup_col(a, p))
-                        for fn in f1s:
-                            emit((n, m), scale_col(a, p, fn))
-                    for fn in f0s:
-                        emit((n, m), scale_point(a, 0, fn, "row"))
-                        emit((n, m), scale_point(a, n, fn, "row"))
-                    for p in range(1, n):
-                        emit((n - 1, m), cap_row(a, p, n))
-                        emit((n - 1, m), merge_row(a, p - 1))
-                    if self.category == "all":
-                        # classical automorphisms also commute with the
-                        # crossing of two interior coordinates
-                        for p in range(1, n - 1):
-                            emit((n, m), swap_row(a, p))
-                    for p in range(1, m):
-                        emit((n, m - 1), cap_col(a, p, m))
-                        emit((n, m - 1), merge_col(a, p - 1))
-                    if n == m:
-                        emit((2 * n, 0), s_map(a, n))
-                        emit((2 * n, 0), t_map(a, n))
-                # composition and glued tensor, new against everything
-                for (k2, m2) in self.pairs:
-                    if (n, m2) in self.items and k2 == m:
-                        for a in new:
-                            for b in self.items[(m, m2)]:
-                                emit((n, m2), mat_mul(a, b))
-                    if (k2, m2) != (n, m) and (k2, n) in self.items:
-                        for a in new:
-                            for b in self.items[(k2, n)]:
-                                emit((k2, m), mat_mul(b, a))
-                    nm2 = (n + k2, m + m2)
-                    if nm2 in self.items:
-                        for a in new:
-                            for b in self.items[(k2, m2)]:
-                                emit(nm2, rel_tensor(a, b))
-                                emit(nm2, rel_tensor(b, a))
-            if self._total_items() > MOR_SIZE_BUDGET:
-                break
-            frontier = added
-            if not any(added.values()):
-                self.stable = True
-                break
+        self.scene = function_engine(graph, category).scene
+        ladder = ColumnLadder(graph, category, max_level=MOR_LEVEL + 1)
+        self.rounds = ladder.rounds
+        self.stable = ladder.stable
+        # the headroom level is only needed while closing
+        self.levels = {M: ladder.levels[M] for M in range(MOR_LEVEL + 1)}
+        self.items = {}
 
     def basis(self, n, m):
-        if (n, m) in self.items:
-            return list(self.items[(n, m)])
-        if (m, n) in self.items:
-            return [mat_adjoint(a) for a in self.items[(m, n)]]
-        raise ValidationError("arity pair (%d, %d) beyond engine caps"
-                              % (n, m))
+        if min(n, m) < 0 or n + m > MOR_LEVEL:
+            raise ValidationError("arity pair (%d, %d) beyond n + m <= %d"
+                                  % (n, m, MOR_LEVEL))
+        if (n, m) not in self.items:
+            self.items[(n, m)] = [_unfold(a, n, m)
+                                  for a in self.levels[n + m]]
+        return list(self.items[(n, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -729,15 +530,13 @@ class MorEngine:
 class MorBasis:
     """A generated spanning set of intertwiners at one arity pair."""
 
-    def __init__(self, arity, matrices, category, scene, stable, depth,
-                 engine=None):
+    def __init__(self, arity, matrices, category, scene, stable, depth):
         self.arity = arity
         self.matrices = matrices
         self.category = category
         self.scene = scene
         self.stable = stable
         self.depth = depth
-        self.engine = engine
 
     @property
     def rank(self):
@@ -845,7 +644,7 @@ def generate_mor(target, n, m, category="planar", window=None):
             mats = [{((u, v), (u, v)): c for (u, v), c in fn.items()}
                     for fn in fe.f1_basis()]
         return MorBasis((n, m), mats, category, fe.scene, fe.stable,
-                        fe.rounds, engine=fe)
+                        fe.rounds)
     if not isinstance(target, FiniteGraph):
         raise ValidationError(
             "higher-arity spans are only generated over finite graphs; "
@@ -853,7 +652,7 @@ def generate_mor(target, n, m, category="planar", window=None):
     eng = mor_engine(target, category)
     mats = eng.basis(n, m)
     return MorBasis((n, m), mats, category, eng.scene, eng.stable,
-                    eng.rounds, engine=eng)
+                    eng.rounds)
 
 
 def quantum_orbits(target, category="all", window=None):
@@ -1202,11 +1001,10 @@ def ibf_basis(target, p, n, category="planar", tol=1e-9):
     scalar multiple of the projection."""
     import numpy as np
     k = p.arity
-    eng = mor_engine(target, category)
     anchor = max(p.matrix, key=lambda key: abs(p.matrix[key]))
     pref = p.matrix[anchor]
     cands = []
-    for b in eng.basis(n, k):
+    for b in generate_mor(target, n, k, category).matrices:
         c = mat_mul(_floatify(b), _floatify(p.matrix))
         if c:
             cands.append(c)
@@ -1438,7 +1236,7 @@ class SpanModP:
         return len(self.rows) == self.dim
 
 
-LADDER_ROUNDS = 8
+LADDER_ROUNDS = 10
 
 
 class ColumnLadder:
@@ -1533,19 +1331,12 @@ class ColumnLadder:
         return False
 
     def _seed(self):
-        np = self.np
         for fn in self.f0_vecs:
             self._add(0, fn.copy())
             self._add(1, fn.copy())
-        eng = mor_engine(self.graph, self.category)
-        for M in range(2, min(4, self.max_level) + 1):
-            if (M, 0) not in eng.items:
-                continue
-            for mat in eng.items[(M, 0)]:
-                arr = np.zeros(self._shape(M), dtype=np.int64)
-                for (i, _j), c in mat.items():
-                    arr[i[:-1]] = c
-                self._add(M, arr)
+        if self.max_level >= 2:
+            for w in self.f1_mats:
+                self._add(2, w.copy())
 
     def _dup(self, arr, M, p):
         np = self.np

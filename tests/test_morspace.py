@@ -69,27 +69,102 @@ def test_ladder_frozen_ranks_quantum_graphs():
     assert classical_loop_orbits(k4(), 5) > 42
 
 
-def test_ladder_agrees_with_generic_closure_at_low_levels():
-    eng = ms.mor_engine(c4(), "planar")
-    lad = ms.ColumnLadder(c4(), "planar", max_level=4)
-    for m in range(5):
-        assert len(eng.items[(m, 0)]) == len(lad.levels[m])
+def p4():
+    return FiniteGraph(4, [(0, 1), (1, 2), (2, 3)])
 
 
-def test_generic_closure_elements_are_intertwiner_shaped():
-    eng = ms.mor_engine(c4(), "planar")
-    adj = {((u, v), (u, v)): 1 for u in range(4)
-           for v in c4().neighbors(u)}
-    for (n, m), mats in eng.items.items():
-        for mat in mats:
+def star():
+    return FiniteGraph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def c5():
+    return FiniteGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
+# generate_mor ranks at M = n + m = 1..4, frozen from the dict closure
+# that served Mor(n, m) before the ladder did; they depend on M only
+MOR_RANKS = [
+    (k3, "planar", [1, 2, 5, 14]), (k3, "all", [1, 2, 5, 14]),
+    (p3, "planar", [2, 5, 14, 41]), (p3, "all", [2, 5, 14, 41]),
+    (k4, "planar", [1, 2, 5, 14]), (k4, "all", [1, 2, 5, 15]),
+    (c4, "planar", [1, 3, 10, 35]), (c4, "all", [1, 3, 10, 36]),
+    (star, "planar", [2, 5, 15, 51]), (star, "all", [2, 5, 15, 51]),
+    (c5, "planar", [1, 3, 13, 63]), (c5, "all", [1, 3, 13, 63]),
+    (p4, "planar", [2, 8, 32, 128]), (p4, "all", [2, 8, 32, 128]),
+]
+
+
+def served_pairs():
+    return [(n, M - n) for M in range(1, ms.MOR_LEVEL + 1)
+            for n in range(M + 1)]
+
+
+@pytest.mark.parametrize("make, category, ranks", MOR_RANKS)
+def test_mor_ranks_match_the_frozen_table(make, category, ranks):
+    g = make()
+    for n, m in served_pairs():
+        assert ms.generate_mor(g, n, m, category=category).rank == \
+            ranks[n + m - 1], (n, m)
+
+
+@pytest.mark.parametrize("category", ["planar", "all"])
+@pytest.mark.parametrize("make", [c4, star, p4])
+def test_mor_elements_are_intertwiner_shaped(make, category):
+    g = make()
+    for n, m in served_pairs():
+        for mat in ms.generate_mor(g, n, m, category=category).matrices:
             for (i, j) in mat:
                 assert len(i) == n + 1 and len(j) == m + 1
                 assert i[0] == j[0] and i[-1] == j[-1]
+    adj = {((u, v), (u, v)): 1 for u in range(g.vertex_count)
+           for v in g.neighbors(u)}
     # the span at (1, 1) commutes with the adjacency matrix
-    for mat in eng.items[(1, 1)]:
-        lhs = ms.mat_mul(adj, mat)
-        rhs = ms.mat_mul(mat, adj)
-        assert lhs == rhs
+    for mat in ms.generate_mor(g, 1, 1, category=category).matrices:
+        assert ms.mat_mul(adj, mat) == ms.mat_mul(mat, adj)
+
+
+@pytest.mark.parametrize("category", ["planar", "all"])
+@pytest.mark.parametrize("make", [c4, star])
+def test_mor_spaces_are_closed_under_adjoint_and_composition(make,
+                                                             category):
+    from qgs.ratmat import RatSpan
+    g = make()
+
+    def mats(n, m):
+        return ms.generate_mor(g, n, m, category=category).matrices
+
+    def span(n, m):
+        sp = RatSpan()
+        for mat in mats(n, m):
+            sp.add(mat)
+        return sp
+
+    for n, m in served_pairs():
+        target = span(m, n)
+        assert all(target.contains(ms.mat_adjoint(a)) for a in mats(n, m))
+    for (n, k, m) in [(1, 2, 1), (2, 1, 2), (2, 2, 0), (1, 1, 3),
+                      (3, 1, 1), (0, 2, 2)]:
+        target = span(n, m)
+        for a in mats(n, k):
+            for b in mats(k, m):
+                prod = ms.mat_mul(a, b)
+                assert not prod or target.contains(prod), (n, k, m)
+
+
+def test_mor_beyond_the_ladder_is_refused():
+    with pytest.raises(ValidationError):
+        ms.generate_mor(c4(), 3, 2)
+    with pytest.raises(ValidationError):
+        ms.generate_mor(c4(), 0, 5)
+
+
+def test_ladder_seeded_by_functions_alone_is_stable_on_k4():
+    # from the function engine's seeds alone, the K4 closure to level 7
+    # takes 9 rounds; it must end by saturation, not by LADDER_ROUNDS
+    lad = ms.ColumnLadder(k4(), "planar", max_level=7)
+    assert lad.stable
+    assert [len(lad.levels[M]) for M in range(7)] == \
+        [1, 1, 2, 5, 14, 42, 132]
 
 
 @pytest.mark.parametrize("g, planar_rank", [(k4(), 14), (c4(), 35)])
@@ -342,14 +417,6 @@ def test_ladder_tuple_operations_match_their_loop_forms():
 
 # Aut-orbit coordinates of the ladder
 
-def p4():
-    return FiniteGraph(4, [(0, 1), (1, 2), (2, 3)])
-
-
-def star():
-    return FiniteGraph(4, [(0, 1), (0, 2), (0, 3)])
-
-
 ORBIT_GRAPHS = {"K3": k3, "P3": p3, "K4": k4, "C4": c4, "K1,3": star}
 _ladders = {}
 
@@ -435,3 +502,7 @@ def test_ladder_ranks_survive_relabeling(make, category):
     assert ([len(a) for a in other.levels.values()],
             other.rounds, other.stable) == \
         ([len(a) for a in lad.levels.values()], lad.rounds, lad.stable)
+    assert [ms.generate_mor(moved, n, m, category=category).rank
+            for n, m in served_pairs()] == \
+        [ms.generate_mor(g, n, m, category=category).rank
+         for n, m in served_pairs()]
