@@ -11,12 +11,38 @@ and have consistent vertex-weight ratios.
 
 The positive functional ``phi`` on path symbols is the projection onto
 the trivial corner: its value on a pair of closed loops with a common
-basepoint orbit is the kernel of the orthogonal projection onto the span
-of constant-loop intertwiners, computed from a Gram matrix of the
-generated column-space basis.  Pulling ``phi`` back through the corner
-embedding ``theta_e`` gives the left Haar functional ``phi_e``; composing
-with the antipode gives the right Haar functional ``psi_e``, and the
-modular element acts by vertex-weight ratios.
+basepoint orbit is the kernel of the orthogonal projection onto the
+invariant loop functions of the level, paired between the two loops.
+Pulling ``phi`` back through the corner embedding ``theta_e`` gives the
+left Haar functional ``phi_e``; composing with the antipode gives the
+right Haar functional ``psi_e``, and the modular element acts by
+vertex-weight ratios.
+
+Two routes compute the kernel.  The Gram route projects onto the span
+generated by the column ladder: per basepoint orbit, the level's basis
+is cut to the orbit and a Gram matrix of the cut is inverted.  The orbit
+route serves graphs that `morspace.classical_certificate` certifies, and
+builds no ladder.  Let u be the fundamental representation of the
+quantum group whose intertwiners the category generates (QAut(G) for
+category "planar"); it contains Aut(G), because every generated map
+commutes with the automorphisms.
+
+- The generated level 4 lies in Fix(u^(x)4), the fixed vectors of the
+  fourth tensor power, which lies in the Aut-invariant functions on V^4.
+  These have dimension B_4, the number of Aut-orbits on V^4.  The
+  ladder's rank is a rank modulo a prime, which is never above the rank
+  over Q, so when it reaches B_4 both inclusions are equalities.
+- By Frobenius reciprocity Fix(u^(x)4) is isomorphic to End(u^(x)2),
+  which then contains the flip of V (x) V.  So the entries u_ij commute,
+  and the quantum group is Aut(G): for category "planar", QAut(G) =
+  Aut(G).  This is the commutation criterion for quantum symmetry
+  (Lupini-Mancinska-Roberson, arXiv 1712.01820; Schmidt, arXiv
+  1801.02813).
+- Every level M is then spanned by the indicators of the Aut-orbits on
+  V^M.  These are orthogonal, and an orbit O has |O|/|a| tuples at each
+  basepoint of its vertex orbit a.  So the kernel between two loops with
+  basepoints in a is |a|/|O| when both lie in one orbit O, and 0
+  otherwise: a ratio of orbit counts.
 
 Elements are plain dicts mapping ``(i, j)`` tuple pairs to coefficients;
 keys of different word lengths may be mixed freely.  These are the
@@ -34,8 +60,9 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import FiniteGraph, ValidationError, all_pairs_distances
-from .morspace import (ColumnLadder, SpanModP, _floatify, generate_mor,
-                       ibf_basis, mat_adjoint, mat_mul, mat_tilde,
+from .morspace import (ColumnLadder, SpanModP, _floatify,
+                       classical_certificate, generate_mor, ibf_basis,
+                       least_images, mat_adjoint, mat_mul, mat_tilde,
                        minimal_projections, mu_assignment, quantum_orbits,
                        rel_tensor)
 
@@ -78,87 +105,36 @@ def counit(x):
     return sum(c for (i, j), c in x.items() if i == j)
 
 
-class HaarSystem:
-    """Haar functional data for the quantum symmetries of a finite graph.
+# ---------------------------------------------------------------------------
+# corner kernels
+#
+# Both routes answer two questions about the level-M kernel K of a
+# basepoint orbit a, on flat indices of loop tuples (basepoint first):
+# `values` gives K[p[n], q[n]] for paired index arrays, and `apply` gives
+# out[r, w] = sum_s sum_c K[rows[s, r], cols[w, c]] * weights[c].
 
-    max_level bounds the column-space ladder; levels up to max_level - 1
-    are fully generated and trusted, so words of length up to
-    max_level - 2 can be integrated."""
 
-    def __init__(self, graph, category="planar", max_level=7):
-        if not isinstance(graph, FiniteGraph):
-            raise ValidationError(
-                "the Haar functional model requires a finite graph; "
-                "windowed providers are not supported")
-        if not graph.is_connected():
-            raise ValidationError("graph must be connected")
-        self.graph = graph
-        self.category = category
+class _GramKernel:
+    """Kernels of the projection onto the ladder's generated spans.
+
+    Rows of the level-M ladder basis are restricted to loops whose
+    basepoint lies in orbit a and re-reduced; the per-basepoint Gram
+    matrix of the restriction is asserted constant over the orbit and
+    inverted to produce the kernel of the orthogonal projection."""
+
+    def __init__(self, graph, category, max_level, orbits):
         self.q = graph.vertex_count
-        self.max_level = max_level
-        self.max_word = max_level - 2
-        self.dist = all_pairs_distances(graph)
-        self.orbits = quantum_orbits(graph, category=category)
-        self.mu = mu_assignment(graph, category=category).mu
+        self.orbits = orbits
         self.ladder = ColumnLadder(graph, category, max_level=max_level)
         # the untrusted top level is only needed while closing
         del self.ladder.levels[max_level]
         self._corners = {}
 
-    def orbit_of(self, v):
-        return self.orbits.orbit_of(v)
-
-    def orbit_members(self, a):
-        return self.orbits.classes[a]
-
-    # -- zero rules ---------------------------------------------------
-
-    def word_is_zero(self, i, j):
-        """Admissibility of U_n(i, j): orbit, distance and weight rules."""
-        if len(i) != len(j):
-            raise ValidationError("word tuples must have equal length")
-        for a, b in zip(i, j):
-            if self.orbit_of(a) != self.orbit_of(b):
-                return True
-        for k in range(1, len(i)):
-            if self.dist[i[k - 1]][i[k]] != self.dist[j[k - 1]][j[k]]:
-                return True
-            if (self.mu[i[k]] * self.mu[j[k - 1]]
-                    != self.mu[j[k]] * self.mu[i[k - 1]]):
-                return True
-        return False
-
-    def f_is_zero(self, p, q):
-        """Admissibility of F_n(p, q) for tuples of length n + 1."""
-        if len(p) != len(q):
-            raise ValidationError("path tuples must have equal length")
-        for a, b in zip(p, q):
-            if self.orbit_of(a) != self.orbit_of(b):
-                return True
-        for k in range(1, len(p)):
-            if self.dist[p[k - 1]][p[k]] != self.dist[q[k - 1]][q[k]]:
-                return True
-        if (self.mu[p[-1]] * self.mu[q[0]] != self.mu[q[-1]] * self.mu[p[0]]):
-            return True
-        return False
-
-    # -- corner kernels -----------------------------------------------
-
     def _corner(self, M, a):
-        """Projection kernel onto constant loops, per basepoint orbit.
-
-        Rows of the level-M ladder basis are restricted to loops whose
-        basepoint lies in orbit a and re-reduced; the per-basepoint Gram
-        matrix of the restriction is asserted constant over the orbit and
-        inverted to produce the kernel of the orthogonal projection."""
         key = (M, a)
         if key in self._corners:
             return self._corners[key]
-        if M > self.max_level - 1:
-            raise ValidationError(
-                "level %d exceeds the trusted ladder depth %d"
-                % (M, self.max_level - 1))
-        members = sorted(self.orbit_members(a))
+        members = sorted(self.orbits.classes[a])
         # the cut keeps a union of Aut-orbits, so it is Aut-invariant and
         # its values on the ladder's orbit representatives decide its rank
         reps = self.ladder.reps[M]
@@ -185,16 +161,149 @@ class HaarSystem:
                 raise ValidationError(
                     "corner Gram matrix is not constant on the orbit")
         tf = t.astype(np.float64)
-        # the kernel is tf.T @ w, kept factored: dense it has q^M rows
-        # and columns
-        data = (tf, np.linalg.solve(g, tf))
+        # the kernel is tf.T @ solve(g, tf), kept factored (dense it has
+        # q^M rows and columns), with one row per loop tuple
+        data = (tf.T.copy(), np.linalg.solve(g, tf).T.copy())
         self._corners[key] = data
         return data
 
+    def values(self, M, a, p_idx, q_idx):
+        left, right = self._corner(M, a)
+        return np.einsum("nk,nk->n", left[p_idx], right[q_idx])
+
+    def apply(self, M, a, rows, cols, weights):
+        left, right = self._corner(M, a)
+        # the kernel is linear, so the sum over s is taken before the
+        # product
+        return left[rows].sum(axis=0) @ (weights @ right[cols]).T
+
+
+class _OrbitKernel:
+    """Kernels of the projection onto the Aut-invariants, from orbit
+    counts: K[p, q] = |a| / |O| when p and q lie in one Aut-orbit O of
+    loop tuples, else 0.  Orbits are named by their least flat index
+    (`least_images`), computed once per level."""
+
+    def __init__(self, auts, q, orbits):
+        self.auts = auts
+        self.q = q
+        self.orbits = orbits
+        self._ids = {}
+
+    def _orbit_ids(self, M):
+        """(orbit id of each flat index, size of each orbit by id)."""
+        k = max(M, 1)
+        if k not in self._ids:
+            ids = least_images(self.auts, self.q, k)
+            self._ids[k] = (ids, np.bincount(ids, minlength=len(ids)))
+        return self._ids[k]
+
+    def values(self, M, a, p_idx, q_idx):
+        ids, size = self._orbit_ids(M)
+        p_ids = ids[p_idx]
+        scale = len(self.orbits.classes[a]) / size[p_ids]
+        return np.where(p_ids == ids[q_idx], scale, 0.0)
+
+    def apply(self, M, a, rows, cols, weights):
+        ids, size = self._orbit_ids(M)
+        # per column w, the weight each orbit met by its columns carries
+        col_ids = ids[cols].ravel()
+        found, pos = np.unique(col_ids, return_inverse=True)
+        acc = np.zeros((len(found), cols.shape[0]))
+        np.add.at(acc, (pos, np.repeat(np.arange(cols.shape[0]),
+                                       cols.shape[1])),
+                  np.tile(weights, cols.shape[0]))
+        row_ids = ids[rows]
+        at = np.minimum(np.searchsorted(found, row_ids), len(found) - 1)
+        scale = np.where(found[at] == row_ids,
+                         len(self.orbits.classes[a]) / size[row_ids], 0.0)
+        return (acc[at] * scale[..., None]).sum(axis=0)
+
+
+class HaarSystem:
+    """Haar functional data for the quantum symmetries of a finite graph.
+
+    max_level bounds the column-space ladder; levels up to max_level - 1
+    are trusted, so words of length up to max_level - 2 can be
+    integrated.  `auts` is Aut(G) when `classical_certificate` holds:
+    the kernels are then orbit-count ratios and no ladder is built.
+    Otherwise it is None and the kernels come from the ladder.  The
+    depth bound holds on both routes."""
+
+    def __init__(self, graph, category="planar", max_level=7):
+        if not isinstance(graph, FiniteGraph):
+            raise ValidationError(
+                "the Haar functional model requires a finite graph; "
+                "windowed providers are not supported")
+        if not graph.is_connected():
+            raise ValidationError("graph must be connected")
+        self.graph = graph
+        self.category = category
+        self.q = graph.vertex_count
+        self.max_level = max_level
+        self.max_word = max_level - 2
+        self.dist = all_pairs_distances(graph)
+        self.orbits = quantum_orbits(graph, category=category)
+        self.mu = mu_assignment(graph, category=category).mu
+        self.auts = classical_certificate(graph, category)
+        if self.auts is None:
+            self._kernel = _GramKernel(graph, category, max_level,
+                                       self.orbits)
+        else:
+            self._kernel = _OrbitKernel(self.auts, self.q, self.orbits)
+        # the admissibility rules read these tables, compared once: the
+        # orbit of each vertex, and for each ordered pair (v, w) the
+        # class of its weight ratio mu[w] / mu[v]
+        self._orbit = [self.orbit_of(v) for v in range(self.q)]
+        classes = {}
+        self._ratio = [[classes.setdefault(self.mu[w] / self.mu[v],
+                                           len(classes))
+                        for w in range(self.q)] for v in range(self.q)]
+
+    def orbit_of(self, v):
+        return self.orbits.orbit_of(v)
+
+    def orbit_members(self, a):
+        return self.orbits.classes[a]
+
+    # -- zero rules ---------------------------------------------------
+
+    def word_is_zero(self, i, j):
+        """Admissibility of U_n(i, j): orbit, distance and weight rules."""
+        if len(i) != len(j):
+            raise ValidationError("word tuples must have equal length")
+        orbit, dist, ratio = self._orbit, self.dist, self._ratio
+        for a, b in zip(i, j):
+            if orbit[a] != orbit[b]:
+                return True
+        for k in range(1, len(i)):
+            a, b, c, d = i[k - 1], i[k], j[k - 1], j[k]
+            if dist[a][b] != dist[c][d] or ratio[a][b] != ratio[c][d]:
+                return True
+        return False
+
+    def f_is_zero(self, p, q):
+        """Admissibility of F_n(p, q) for tuples of length n + 1."""
+        if len(p) != len(q):
+            raise ValidationError("path tuples must have equal length")
+        orbit, dist = self._orbit, self.dist
+        for a, b in zip(p, q):
+            if orbit[a] != orbit[b]:
+                return True
+        for k in range(1, len(p)):
+            if dist[p[k - 1]][p[k]] != dist[q[k - 1]][q[k]]:
+                return True
+        return self._ratio[p[0]][p[-1]] != self._ratio[q[0]][q[-1]]
+
+    # -- corner kernels -----------------------------------------------
+
     def kernel_values(self, M, a, p_idx, q_idx):
         """phi(F_M(p, q)) for flattened free-coordinate index arrays."""
-        tf, w = self._corner(M, a)
-        return np.einsum("kn,kn->n", tf[:, p_idx], w[:, q_idx])
+        if M > self.max_level - 1:
+            raise ValidationError(
+                "level %d exceeds the trusted ladder depth %d"
+                % (M, self.max_level - 1))
+        return self._kernel.values(M, a, p_idx, q_idx)
 
     def _flat(self, tup):
         idx = 0
@@ -307,16 +416,23 @@ class HaarSystem:
     # -- admissible tuple enumeration -----------------------------------
 
     def admissible_partners(self, j_tup, endpoints=None):
-        """All i with U_n(i, j_tup) nonzero, optionally with fixed ends."""
+        """All i with U_n(i, j_tup) nonzero, in lexicographic order,
+        optionally with fixed ends.  The rules of `word_is_zero` are
+        applied to all q^n tuples at once."""
         n = len(j_tup)
-        out = []
-        for i in itertools.product(range(self.q), repeat=n):
-            if endpoints is not None:
-                if i[0] != endpoints[0] or i[-1] != endpoints[1]:
-                    continue
-            if not self.word_is_zero(i, j_tup):
-                out.append(i)
-        return out
+        tups = np.indices((self.q,) * n).reshape(n, -1).T
+        orbit = np.array(self._orbit)
+        dist = np.array(self.dist)
+        ratio = np.array(self._ratio)
+        j = np.array(j_tup)
+        ok = (orbit[tups] == orbit[j]).all(axis=1)
+        for k in range(1, n):
+            a, b = tups[:, k - 1], tups[:, k]
+            ok &= dist[a, b] == dist[j[k - 1], j[k]]
+            ok &= ratio[a, b] == ratio[j[k - 1], j[k]]
+        if endpoints is not None:
+            ok &= (tups[:, 0] == endpoints[0]) & (tups[:, -1] == endpoints[1])
+        return [tuple(t) for t in tups[ok].tolist()]
 
     def unit_pairs(self):
         """All (v, w) with u_vw nonzero."""
@@ -357,11 +473,16 @@ class HaarSystem:
             f = e
         if tests is None:
             tests = self.unit_pairs()
+        q = self.q
         a_orb = self.orbit_of(e)
         f_orb = self.orbit_of(f)
-        f_members = self.orbit_members(f_orb)
-        phf_unit = {(v, w): self.phi_e(word((v,), (w,)), f)
-                    for (v, w) in tests}
+        f_members = np.array(self.orbit_members(f_orb))
+        phf_unit = np.zeros((q, q))
+        tested = np.zeros((q, q), dtype=bool)
+        for (v, w) in tests:
+            phf_unit[v, w] = self.phi_e(word((v,), (w,)), f)
+            tested[v, w] = True
+        verts = np.arange(q)
         worst = 0.0
         checked = 0
         for n in range(1, n_max + 1):
@@ -369,31 +490,33 @@ class HaarSystem:
             if level > self.max_level - 1:
                 raise ValidationError(
                     "n_max %d needs ladder level %d" % (n_max, level))
-            tf, w_mat = self._corner(level, f_orb)
-            for j in itertools.product(range(self.q), repeat=n):
+            block = q ** (n + 2)
+            for j in itertools.product(range(q), repeat=n):
                 q_tup = (e,) + j + (e,)
-                ps = self.admissible_partners(q_tup)
-                if not ps:
+                ps = np.array(self.admissible_partners(q_tup))
+                if not len(ps):
                     continue
-                # phi_e(U(m, q_tup)) for every admissible middle tuple m
-                ph = np.array([self.phi_e(word(m, q_tup), e) for m in ps])
-                q_free = [self._flat((f, w) + m) for m in ps
-                          for w in range(self.q)]
-                q_free = np.array(q_free).reshape(len(ps), self.q)
-                for v in range(self.q):
-                    # the kernel is linear, so the orbit sum is taken
-                    # once per v, before the product
-                    left = sum(tf[:, [self._flat((s, v) + p) for p in ps]]
-                               for s in f_members)
-                    for w in range(self.q):
-                        if (v, w) not in phf_unit:
-                            continue
-                        # big[p, m] = phi_f(u_vw U(p, m)) via the kernel
-                        big = left.T @ w_mat[:, q_free[:, w]]
-                        lhs = big @ ph
-                        rhs = phf_unit[(v, w)] * ph
-                        worst = max(worst, float(np.abs(lhs - rhs).max()))
-                        checked += len(ps)
+                tail = ps @ q ** np.arange(n + 1, -1, -1)
+                # ph[m] = phi_e(U(m, q_tup)), in one kernel call: q_tup
+                # starts and ends at e, so of the basepoints s only
+                # s = m[0] passes f_is_zero, and only when m[-1] == m[0]
+                closed = ps[:, 0] == ps[:, -1]
+                ph = np.zeros(len(ps))
+                ph[closed] = self.kernel_values(
+                    n + 3, a_orb, ps[closed, 0] * block + tail[closed],
+                    np.full(closed.sum(), self._flat((e,) + q_tup)))
+                # lhs[v, p, w] = sum_s sum_m K[(s, v) + p, (f, w) + m] ph[m]
+                # = phi_f(u_vw U(p, m)) paired with ph, for every (v, w)
+                rows = ((f_members[:, None, None] * q + verts[:, None])
+                        * block + tail)
+                cols = (f * q + verts)[:, None] * block + tail
+                lhs = self._kernel.apply(
+                    level, f_orb, rows.reshape(len(f_members), -1), cols,
+                    ph).reshape(q, len(ps), q)
+                rhs = phf_unit[:, None, :] * ph[:, None]
+                gap = np.abs(lhs - rhs).max(axis=1)[tested]
+                worst = max(worst, float(gap.max(initial=0.0)))
+                checked += len(ps) * len(gap)
         if checked == 0:
             raise ValidationError("no admissible words to check")
         return worst
@@ -651,20 +774,15 @@ def delta_checks(graph, e, f, category="planar"):
     worst_modular = 0.0
     worst_base = 0.0
     scale = float(hs.mu[f] / hs.mu[e])
-    words = []
-    for n in (1, 2):
-        for i in itertools.product(range(q), repeat=n):
-            for j in itertools.product(range(q), repeat=n):
-                if not hs.word_is_zero(i, j):
-                    words.append(word(i, j))
+    words = [word(i, j) for n in (1, 2)
+             for j in itertools.product(range(q), repeat=n)
+             for i in hs.admissible_partners(j)]
     for x in words:
         worst_modular = max(worst_modular, abs(
             hs.psi_e(x, e) - hs.phi_e(hs.mul_delta(x), e)))
         worst_base = max(worst_base, abs(
             hs.phi_e(x, e) - scale * hs.phi_e(x, f)))
-    ratios = sorted({hs.mu[i] / hs.mu[j] for i in range(q)
-                     for j in range(q)
-                     if not hs.word_is_zero((i,), (j,))})
+    ratios = sorted({hs.mu[i] / hs.mu[j] for i, j in hs.unit_pairs()})
     return {
         "modular_residual": worst_modular,
         "base_change_residual": worst_base,

@@ -144,11 +144,17 @@ def cmd_haar_check(args):
                  "base_change": delta["base_change_residual"],
                  "positivity_defect": max(0.0, -min_positivity)}
     ok = all(v <= args.tol for v in residuals.values())
+    classical = hs.auts is not None
     report = {"residuals": residuals, "tolerance": args.tol,
               "max_word_length": n_max, "level": hs.max_level,
               "unimodular": delta["unimodular"],
               "positivity_samples": 20, "seed": args.seed,
-              "arithmetic": "float64 on exact integer Gram data",
+              # the certificate of category "all" is about Aut(G) itself,
+              # so only the planar one decides quantum symmetry
+              "quantum_symmetry": (False if classical
+                                   and args.category == "planar" else None),
+              "arithmetic": ("float64 on exact Aut-orbit counts" if classical
+                             else "float64 on exact integer Gram data"),
               "passed": ok}
     return report, 0 if ok else 3
 

@@ -41,7 +41,8 @@ restricting to those representatives is injective on the invariants,
 over Q and modulo a prime alike, and every accept decision is the one
 the full vectors would give.  A level whose rank reaches the number of
 representatives (the Burnside count) holds every invariant vector, so
-the ladder builds no further candidate for it.
+the ladder builds no further candidate for it.  When level 4 does, the
+quantum group of the category is Aut(G) itself (`classical_certificate`).
 """
 
 from fractions import Fraction
@@ -241,7 +242,6 @@ class FunctionEngine:
                      "triangle"),
                     (FiniteGraph(3, [(0, 1), (1, 2)]), 0, 0,
                      "walk-2 return"),
-                    (_square_diag_graph(), 0, 3, "square+diagonal far"),
                     (_double_square_diag_graph(), 0, 4,
                      "square+diagonal chained")]
             for g, x1, x2, name in slim:
@@ -681,6 +681,31 @@ def quantum_orbits(target, category="all", window=None):
         boundary = set(fe.scene.vertices) - fe.scene.core
         compact = None if boundary else True
     return OrbitPartition(ordered, category, exactness, compact, matches)
+
+
+def classical_certificate(graph, category="planar"):
+    """Aut(G), as the list of `classical_aut` permutations, when the
+    generated spans certify that the quantum group of the category is
+    Aut(G); None when they do not, or past DEFAULT_AUT_LIMIT vertices.
+
+    The certificate is that the generated level 4 (Mor(4, 0), functions
+    on V^4) has as many elements as Aut has orbits on V^4, and that the
+    generated vertex orbits are the Aut-orbits.  Why this suffices is
+    set out in the docstring of `qgs.algebra`; for category "planar"
+    the quantum group is QAut(G), so the graph has no quantum
+    symmetry."""
+    if graph.vertex_count > DEFAULT_AUT_LIMIT:
+        return None
+    import numpy as np
+    auts, orbits = classical_aut(graph)
+    least = least_images(auts, graph.vertex_count, 4)
+    burnside = int(np.count_nonzero(least == np.arange(len(least))))
+    if len(mor_engine(graph, category).levels[4]) != burnside:
+        return None
+    found = quantum_orbits(graph, category).classes
+    if sorted(map(sorted, found)) != orbits:
+        return None
+    return auts
 
 
 def _diagonal_basis(matrices):
@@ -1236,6 +1261,23 @@ class SpanModP:
         return len(self.rows) == self.dim
 
 
+def least_images(auts, q, k):
+    """The least image of every flat index of V^k under the permutation
+    group `auts` of range(q), that is, the smallest flat index of its
+    orbit.  The indices equal to their least image are the orbit
+    representatives, one per orbit.  One image array is built at a
+    time, so memory is O(q^k) and time O(|auts| q^k)."""
+    import numpy as np
+    least = np.arange(q ** k)
+    for perm in auts:
+        step = np.asarray(perm, dtype=np.int64)
+        img = step
+        for _ in range(k - 1):
+            img = (img[:, None] * q + step).ravel()
+        np.minimum(least, img, out=least)
+    return least
+
+
 LADDER_ROUNDS = 10
 
 
@@ -1282,8 +1324,10 @@ class ColumnLadder:
             self.f0_vecs.append(w)
         auts = (classical_aut(graph)[0] if self.q <= DEFAULT_AUT_LIMIT
                 else [])
-        self.reps = {M: self._orbit_reps(auts, max(M, 1))
-                     for M in range(max_level + 1)}
+        self.reps = {}
+        for M in range(max_level + 1):
+            least = least_images(auts, self.q, max(M, 1))
+            self.reps[M] = np.flatnonzero(least == np.arange(len(least)))
         self.levels = {M: [] for M in range(max_level + 1)}
         self.spans = {M: SpanModP(len(self.reps[M]))
                       for M in range(max_level + 1)}
@@ -1297,22 +1341,6 @@ class ColumnLadder:
 
     def _shape(self, M):
         return (self.q,) * max(M, 1)
-
-    def _orbit_reps(self, auts, k):
-        """Smallest flat index of each orbit of `auts` on V^k, ascending.
-
-        The least image of an index under the group is the least index
-        of its orbit; one image array is built at a time, so memory is
-        O(q^k) and time O(|auts| q^k)."""
-        np = self.np
-        least = np.arange(self.q ** k)
-        for perm in auts:
-            step = np.asarray(perm, dtype=np.int64)
-            img = step
-            for _ in range(k - 1):
-                img = (img[:, None] * self.q + step).ravel()
-            np.minimum(least, img, out=least)
-        return np.flatnonzero(least == np.arange(self.q ** k))
 
     def _check_entries(self, arr):
         top = int(self.np.abs(arr).max())

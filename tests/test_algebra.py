@@ -374,12 +374,71 @@ def test_word_length_guard():
         hs.phi_e(word(long_i, long_i), 0)
 
 
+def classical_haar(auts, i, j, e):
+    """phi_e(U(i, j)) on the classical group: the share of automorphisms
+    p with p(j_k) = i_k for every k, over the share fixing e."""
+    hits = sum(all(p[b] == a for a, b in zip(i, j)) for p in auts)
+    stab = sum(p[e] == e for p in auts)
+    return hits / stab
+
+
 def test_category_all_haar_is_classical_on_a_crossing_word():
     # on K4 the planar value is 1/5 (S4+); the crossing gives Aut = S4
     g = complete_graph(4)
     hs = haar_system(g, "all", 6)
     i = j = (0, 1, 0, 1)
     auts, _orb = classical_aut(g)
-    hits = sum(all(p[b] == a for a, b in zip(i, j)) for p in auts)
-    stab = sum(p[0] == 0 for p in auts)
-    assert abs(hs.phi_e(word(i, j), 0) - hits / stab) < 1e-12
+    assert abs(hs.phi_e(word(i, j), 0) - classical_haar(auts, i, j, 0)) \
+        < 1e-12
+
+
+def test_haar_on_c5_is_the_classical_haar():
+    # C5 has no quantum symmetry: the certificate holds, and phi_e is the
+    # Haar functional of Aut(C5) = D5 on every word of length <= 2
+    g = cycle_graph(5)
+    hs = haar_system(g)
+    auts, _orb = classical_aut(g)
+    assert hs.auts == auts
+    for e in range(5):
+        for n in (1, 2):
+            for i in itertools.product(range(5), repeat=n):
+                for j in itertools.product(range(5), repeat=n):
+                    assert abs(hs.phi_e(word(i, j), e)
+                               - classical_haar(auts, i, j, e)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: complete_graph(3),
+                                  lambda: path_graph(3)])
+def test_orbit_route_equals_gram_route(make, monkeypatch):
+    import numpy as np
+    from qgs import algebra
+    g = make()
+    orbit = algebra.HaarSystem(g)
+    assert orbit.auts is not None
+    # the Gram route, forced by a failing certificate
+    monkeypatch.setattr(algebra, "classical_certificate",
+                        lambda graph, category: None)
+    gram = algebra.HaarSystem(g)
+    assert gram.auts is None
+    q = g.vertex_count
+    # kernel values at every trusted level, on sampled loop pairs
+    rng = np.random.default_rng(3)
+    for M in range(1, orbit.max_level):
+        for a, members in enumerate(orbit.orbits.classes):
+            block = q ** (M - 1)
+            p = (rng.choice(members, 500) * block
+                 + rng.integers(0, block, 500))
+            r = (rng.choice(members, 500) * block
+                 + rng.integers(0, block, 500))
+            assert np.abs(orbit.kernel_values(M, a, p, r)
+                          - gram.kernel_values(M, a, p, r)).max() < 1e-12
+    for n in (1, 2):
+        for i in itertools.product(range(q), repeat=n):
+            for j in itertools.product(range(q), repeat=n):
+                x = word(i, j)
+                assert abs(orbit.phi_e(x, 0) - gram.phi_e(x, 0)) < 1e-12
+                y = {((0,) + i + (0,), (j[-1],) + j + (j[-1],)): 1}
+                assert abs(orbit.phi_f(y) - gram.phi_f(y)) < 1e-12
+    for e in range(q):
+        assert abs(orbit.left_invariance_residual(e, n_max=2)
+                   - gram.left_invariance_residual(e, n_max=2)) < 1e-12

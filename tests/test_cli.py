@@ -11,12 +11,15 @@ C4 = "finite 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 0\n"
 P3 = "finite 3\nedge 0 1\nedge 1 2\n"
 P4 = "finite 4\nedge 0 1\nedge 1 2\nedge 2 3\n"
 K3 = "finite 3\nedge 0 1\nedge 1 2\nedge 0 2\n"
+K4 = "finite 4\n" + "".join("edge %d %d\n" % (u, v) for u in range(4)
+                             for v in range(u + 1, 4))
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, text in (("c4", C4), ("p3", P3), ("p4", P4), ("k3", K3)):
+    for name, text in (("c4", C4), ("p3", P3), ("p4", P4), ("k3", K3),
+                       ("k4", K4)):
         p = tmp_path / (name + ".graph")
         p.write_text(text)
         paths[name] = str(p)
@@ -90,23 +93,76 @@ def test_haar_check_passes(files, capsys):
     assert doc["passed"] is True
     assert all(v < 1e-9 for v in doc["residuals"].values())
     assert doc["unimodular"] is True
+    assert doc["quantum_symmetry"] is False
+
+
+def check_ladder_entry_bound(files, capsys, monkeypatch, name, bound,
+                             prebuilt=False):
+    """haar-check exits 2 under a ladder entry bound the graph's ladder
+    entries reach, and passes once the bound is restored."""
+    from qgs import algebra, morspace
+    from qgs.cli import load_graph
+
+    def fresh_caches():
+        # the engines are built under the patched bound, whatever ran
+        # before
+        for module, cache in ((algebra, "_systems"),
+                              (morspace, "_mor_engines"),
+                              (morspace, "_function_engines")):
+            monkeypatch.setattr(module, cache, {})
+
+    fresh_caches()
+    if prebuilt:
+        morspace.mor_engine(load_graph(files[name]))
+    monkeypatch.setattr(morspace, "LADDER_ENTRY_BOUND", bound)
+    code, doc, err = run(capsys, ["haar-check", "--graph", files[name],
+                                  "--depth", "5"])
+    assert code == 2 and doc is None
+    assert "ladder entry bound %d" % bound in err
+    monkeypatch.undo()
+    fresh_caches()
+    code, doc, _ = run(capsys, ["haar-check", "--graph", files[name],
+                                "--depth", "5"])
+    assert code == 0 and doc["passed"] is True
 
 
 def test_haar_check_ladder_entry_bound(files, capsys, monkeypatch):
-    from qgs import algebra, morspace
-    # a fresh cache, so the P3 system is built under the patched bound
-    monkeypatch.setattr(algebra, "_systems", {})
-    # the P3 ladder's entries reach 8, and 4 already at level 3
-    monkeypatch.setattr(morspace, "LADDER_ENTRY_BOUND", 4)
-    code, doc, err = run(capsys, ["haar-check", "--graph", files["p3"],
-                                  "--depth", "5"])
-    assert code == 2 and doc is None
-    assert "ladder entry bound 4" in err
-    monkeypatch.undo()
-    monkeypatch.setattr(algebra, "_systems", {})
-    code, doc, _ = run(capsys, ["haar-check", "--graph", files["p3"],
+    # P3 passes the certificate; its entries reach 4 by level 3 of the
+    # MorEngine ladder that the certificate reads
+    check_ladder_entry_bound(files, capsys, monkeypatch, "p3", 4)
+
+
+def test_haar_check_ladder_entry_bound_on_the_gram_route(files, capsys,
+                                                          monkeypatch):
+    # K4 fails the certificate and takes the Gram route; its entries are
+    # all 1, and with its MorEngine built beforehand the bound is met by
+    # the Gram route's own ladder
+    check_ladder_entry_bound(files, capsys, monkeypatch, "k4", 1,
+                             prebuilt=True)
+
+
+def test_haar_check_reports_quantum_symmetry(files, capsys, tmp_path):
+    import time
+    # C5 has no quantum symmetry: the orbit route builds no ladder past
+    # level 5, where the Gram route's level 7 alone is about 4.9 GB
+    start = time.monotonic()
+    code, doc, _ = run(capsys, ["haar-check", "--graph",
+                                cycle_file(tmp_path, 5)])
+    assert time.monotonic() - start < 60
+    assert code == 0 and doc["passed"] is True
+    assert doc["quantum_symmetry"] is False
+    assert doc["arithmetic"] == "float64 on exact Aut-orbit counts"
+    # K4 has quantum symmetry: the certificate fails, and the report
+    # leaves the question open
+    code, doc, _ = run(capsys, ["haar-check", "--graph", files["k4"],
                                 "--depth", "5"])
     assert code == 0 and doc["passed"] is True
+    assert doc["quantum_symmetry"] is None
+    assert doc["arithmetic"] == "float64 on exact integer Gram data"
+    # the certificate of category "all" does not speak of QAut
+    code, doc, _ = run(capsys, ["haar-check", "--graph", files["k3"],
+                                "--depth", "5", "--category", "all"])
+    assert code == 0 and doc["quantum_symmetry"] is None
 
 
 def test_planar_iso_distinguished(files, capsys):

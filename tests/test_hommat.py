@@ -289,10 +289,14 @@ def test_windowed_rejects_unpinned_components_before_scanning():
                               rows, rows)
 
 
-# The window seeds of FunctionEngine as (pattern, x1, x2), and the
-# (entries, sum, sha256 prefix of the item list) of each on the d = 3
-# grandparent window of radius 4.
-def window_seeds():
+# Pinned counts as (pattern, x1, x2), with the (entries, sum, sha256
+# prefix of the item list) of each on the d = 3 grandparent window of
+# radius 4.  All but (sq, 0, 3) are the window seeds of FunctionEngine.
+# The square with diagonal pinned at its far corners is kept only as a
+# counting oracle: its pins sit at distance 2, outside the window's pair
+# domain, so as a seed it only repeated the triangle's vertex function
+# on the diagonal (same entries, sum and digest as (tri, 0, 0)).
+def pinned_window_patterns():
     sq = M._square_diag_graph()
     tri = FiniteGraph(3, [(0, 1), (1, 2), (2, 0)])
     edge = FiniteGraph(2, [(0, 1)])
@@ -318,7 +322,8 @@ WINDOW_SEEDS_D3 = [
 def test_window_seed_counts_frozen():
     eng = M.FunctionEngine(M.scene_for(G.grandparent_graph(3),
                                        {"radius": 4}))
-    for (g, x1, x2), want in zip(window_seeds(), WINDOW_SEEDS_D3):
+    for (g, x1, x2), want in zip(pinned_window_patterns(),
+                                 WINDOW_SEEDS_D3):
         fn, _rad = eng._eval_pattern(g, x1, x2)
         items = list(fn.items())
         digest = hashlib.sha256(repr(items).encode()).hexdigest()[:16]

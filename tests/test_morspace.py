@@ -506,3 +506,51 @@ def test_ladder_ranks_survive_relabeling(make, category):
             for n, m in served_pairs()] == \
         [ms.generate_mor(g, n, m, category=category).rank
          for n, m in served_pairs()]
+
+
+def k2():
+    return FiniteGraph(2, [(0, 1)])
+
+
+def c6():
+    return FiniteGraph(6, [(v, (v + 1) % 6) for v in range(6)])
+
+
+def k5():
+    return FiniteGraph(5, [(u, v) for u in range(5)
+                           for v in range(u + 1, 5)])
+
+
+# planar level 4 reaches the Burnside count B_4 on these graphs, which
+# have no quantum symmetry; K4, C4 and K5 have quantum symmetry, so their
+# planar level 4 stays below it (K4: 14 < 15, C4: 35 < 36)
+CERTIFIED = [k2, k3, p3, p4, star, c5, c6]
+UNCERTIFIED = [k4, c4, k5]
+
+
+@pytest.mark.parametrize("make", CERTIFIED)
+def test_classical_certificate_holds_without_quantum_symmetry(make):
+    g = make()
+    assert ms.classical_certificate(g) == classical_aut(g)[0]
+    assert len(ms.mor_engine(g).levels[4]) == classical_loop_orbits(g, 4)
+
+
+@pytest.mark.parametrize("make", UNCERTIFIED)
+def test_classical_certificate_fails_with_quantum_symmetry(make):
+    g = make()
+    assert ms.classical_certificate(g) is None
+    assert len(ms.mor_engine(g).levels[4]) < classical_loop_orbits(g, 4)
+
+
+@pytest.mark.parametrize("make", CERTIFIED + UNCERTIFIED)
+def test_classical_certificate_survives_relabeling(make):
+    import random
+    g = make()
+    perm = list(range(g.vertex_count))
+    random.Random(repr(g.undirected_edges())).shuffle(perm)
+    moved = FiniteGraph(g.vertex_count,
+                        [(perm[u], perm[v]) for u, v in g.undirected_edges()])
+    held = ms.classical_certificate(g) is not None
+    assert held == (make in CERTIFIED)
+    got = ms.classical_certificate(moved)
+    assert got == (classical_aut(moved)[0] if held else None)
