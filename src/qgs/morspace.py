@@ -27,12 +27,17 @@ crossing of two interior loop coordinates.  The crossing acts only from
 arity 2 on, so at arities (0,0) and (1,1) the two categories give the
 same spans.
 
-On finite graphs the function engine stops its closure as soon as its
-ranks reach the coherent closure of the seeds, computed by 2-dimensional
-Weisfeiler-Leman refinement.  The span of the refined colour classes
-contains the seeds and is closed under every operation of the engine, so
-no later candidate could be accepted, and the bases are those of the
-full closure.
+On finite graphs the function engine runs no closure: its bases are the
+indicators of the atoms of the coherent closure of the seeds, computed
+by 2-dimensional Weisfeiler-Leman refinement.  Their span is closed
+under pointwise product, transpose, convolution, diagonal restriction,
+scaling and row sums, so it holds all that these operations generate
+from the seeds.  On a connected graph the generated span holds J as
+well (a convolution power of the diagonal plus the edge count is
+positive everywhere, and its pointwise powers span the indicator of its
+support), so it is a coherent algebra containing the seeds, and the two
+spans are equal.  On windows, where convolution is not exact, the spans
+are generated by a `RatSpan` closure over the pointwise operations.
 
 `ColumnLadder` decides ranks in Aut-orbit coordinates.  Every vector it
 generates is fixed by the classical automorphisms (Aut lies in QAut), so
@@ -140,6 +145,7 @@ def _double_square_diag_graph():
 # Seed patterns on finite graphs are the planar patterns on at most this
 # many vertices; below 5 vertices every connected graph is planar.
 GADGET_VERTICES = 4
+# The window closure stops after this many rounds.
 FUNCTION_ROUNDS = 8
 # On windows, row and column sums are taken only of pair functions whose
 # support radius is at most this.
@@ -149,31 +155,34 @@ WINDOW_PAIR_RADIUS = 1
 class FunctionEngine:
     """Generated spans of vertex functions and pair functions.
 
-    Pair functions carry a support radius; on windows only pointwise
-    operations are used and row/column sums are taken only for functions
-    whose support radius fits inside the recorded pair domain.
+    On finite scenes `f1_items` are the indicators of the pair atoms of
+    the coherent closure of the seeds (`_coherent_atoms`), and `f0_items`
+    those of its diagonal atoms, as vertex functions; both lists are in
+    the order of the atoms' least pairs.  Their span contains the seeds
+    and J, and is closed under pointwise product, transpose,
+    convolution, diagonal restriction, scaling and row sums.  On a
+    disconnected graph it holds more than those operations generate from
+    the seeds: J, the hom matrix of two unlinked labels, which lies in
+    the planar category.
 
-    On finite scenes `bound` is the pair (diagonal colours, colours) of
-    the 2-dimensional Weisfeiler-Leman refinement of the seeded pair
-    functions, and the closure stops once the numbers of vertex and pair
-    functions equal it.  The span W of the refined colour classes
-    contains the seeds and J, and is closed under pointwise product,
-    transpose, convolution, diagonal restriction, scaling and row sums,
-    so the generated span lies in W and is all of it at equal
-    dimension: every later candidate would be rejected, and the items
-    are those of the full closure.  Where the generated span is smaller
-    than W, as on disconnected graphs, the closure runs until a round
-    adds nothing or FUNCTION_ROUNDS is reached."""
+    On windows a `RatSpan` closure generates the spans until a round
+    adds nothing or FUNCTION_ROUNDS is reached.  Pair functions carry a
+    support radius; only pointwise operations are used, and row/column
+    sums are taken only for functions whose support radius fits inside
+    the recorded pair domain."""
 
     def __init__(self, scene, category="planar"):
         self.scene = scene
         self.category = category
         self._build_domain()
         self._seed()
-        self.bound = self._coherent_bound()
-        self._close()
-        # the spans' seen-sets are only needed while closing
-        del self.f0_span, self.f1_span
+        if scene.is_finite:
+            self.rounds = 0
+            self.stable = True
+        else:
+            self._close()
+            # the spans' seen-sets are only needed while closing
+            del self.f0_span, self.f1_span
 
     def _build_domain(self):
         s = self.scene
@@ -220,22 +229,23 @@ class FunctionEngine:
         s = self.scene
         self.f0_items = []           # (dict vertex -> int, provenance)
         self.f1_items = []           # (dict pair -> int, radius, provenance)
-        self.f0_span = RatSpan()
-        self.f1_span = RatSpan()
         delta = {(u, u): 1 for u in self.eval_verts}
-        self._add_f1(delta, 0, "diagonal")
         if s.is_finite:
+            seeds = [delta]
             for g in planar_patterns(GADGET_VERTICES):
                 for x1 in range(g.vertex_count):
                     for x2 in range(g.vertex_count):
-                        fn, rad = self._eval_pattern(g, x1, x2)
-                        # a vertex function is the diagonal at x1 == x2
-                        if x1 == x2:
-                            self._add_f0(_diagonal(fn),
-                                         "pointed pattern %d vertices"
-                                         % g.vertex_count)
-                        self._add_f1(fn, rad, "pattern pair")
+                        seeds.append(self._eval_pattern(g, x1, x2)[0])
+            for atom in self._coherent_atoms(seeds):
+                self.f1_items.append(({p: 1 for p in atom}, None,
+                                      "pair atom"))
+                if atom[0][0] == atom[0][1]:
+                    self.f0_items.append(({u: 1 for u, _v in atom},
+                                          "vertex atom"))
         else:
+            self.f0_span = RatSpan()
+            self.f1_span = RatSpan()
+            self._add_f1(delta, 0, "diagonal")
             slim = [(FiniteGraph(2, [(0, 1)]), 0, 1, "edge"),
                     (_square_diag_graph(), 0, 1, "square+diagonal"),
                     (FiniteGraph(3, [(0, 1), (1, 2), (2, 0)]), 0, 1,
@@ -271,19 +281,19 @@ class FunctionEngine:
             return True
         return False
 
-    def _coherent_bound(self):
-        """(diagonal colours, colours) of the coherent closure of the
-        seeds on a finite scene, or None on a window.
+    def _coherent_atoms(self, seeds):
+        """The pair atoms of the coherent closure of the seed pair
+        functions on a finite scene, each a list of pairs, in the order
+        of their least pairs.
 
-        Each pair starts coloured by its values under the seeded pair
-        functions and is refined by 2-dimensional Weisfeiler-Leman,
+        Each pair starts coloured by its values under every seed and is
+        refined by 2-dimensional Weisfeiler-Leman,
         c'(u, v) = (c(u, v), c(v, u), multiset of (c(u, w), c(w, v))),
-        until the number of colours stops growing."""
-        if not self.scene.is_finite:
-            return None
+        until the number of colours stops growing.  Starting from every
+        seed matters: a pattern with two pins can separate pairs that
+        the refinement of the adjacency matrix alone does not."""
         verts = self.eval_verts
-        colour = {p: tuple(fn.get(p, 0) for fn, _r, _p in self.f1_items)
-                  for p in self.pairs}
+        colour = {p: tuple(fn.get(p, 0) for fn in seeds) for p in self.pairs}
         count = len(set(colour.values()))
         while True:
             ids = {}
@@ -296,13 +306,15 @@ class FunctionEngine:
             if grown == count:
                 break
             count = grown
-        return len({colour[v, v] for v in verts}), count
+        atoms = {}
+        for p in self.pairs:
+            atoms.setdefault(colour[p], []).append(p)
+        return list(atoms.values())
 
     def _offers(self, f0_new, f1_new):
         """One round's candidates in order, as (arity, function, radius,
         provenance); the loops over the item lists also reach items
         accepted earlier in the same round."""
-        finite = self.scene.is_finite
         # pointwise products
         for a in f1_new:
             for b in self.f1_items:
@@ -324,27 +336,17 @@ class FunctionEngine:
                           if f0[0].get(v, 0)}, a[1], "right scaling"
         # row/column sums where the support provably fits the domain
         for a in f1_new:
-            if finite or a[1] <= WINDOW_PAIR_RADIUS:
+            if a[1] <= WINDOW_PAIR_RADIUS:
                 rows, cols = {}, {}
                 for (u, v), c in a[0].items():
                     rows[u] = rows.get(u, 0) + c
                     cols[v] = cols.get(v, 0) + c
                 yield 0, rows, None, "row sums"
                 yield 0, cols, None, "column sums"
-        # convolution is exact on finite scenes only
-        if finite:
-            for a in f1_new:
-                for b in self.f1_items:
-                    for x, y in ((a, b), (b, a)):
-                        yield (1, mat_mul(x[0], y[0]), x[1] + y[1],
-                               "convolution")
 
     def _close(self):
-        def complete():
-            return self.bound == (len(self.f0_items), len(self.f1_items))
-
         self.rounds = 0
-        self.stable = complete()
+        self.stable = False
         f0_new = list(self.f0_items)
         f1_new = list(self.f1_items)
         while not self.stable and self.rounds < FUNCTION_ROUNDS:
@@ -356,11 +358,7 @@ class FunctionEngine:
                     added0.append(self.f0_items[-1])
                 elif arity == 1 and self._add_f1(fn, radius, provenance):
                     added1.append(self.f1_items[-1])
-                else:
-                    continue
-                if complete():
-                    break
-            self.stable = complete() or not (added0 or added1)
+            self.stable = not (added0 or added1)
             f0_new, f1_new = added0, added1
 
     # ---- read-out -------------------------------------------------------
@@ -666,8 +664,7 @@ def quantum_orbits(target, category="all", window=None):
                      key=lambda c: fe.scene.vertex_sort_key(c[0]))
     matches = None
     if fe.scene.is_finite:
-        exactness = ("exact" if fe.stable
-                     else "round-bounded(%d)" % fe.rounds)
+        exactness = "exact"
         compact = True
         # the brute-force automorphism search is optional; beyond its
         # limit the cross-check is reported as not made (None)
@@ -993,6 +990,7 @@ def lambda_projection(target, n, lam, window=None, core_only=True):
         else set(scene.vertices)
     from collections import deque
 
+    region = set(scene.vertices)
     reach = {}
     for v in allowed:
         seen = {v: 0}
@@ -1002,7 +1000,7 @@ def lambda_projection(target, n, lam, window=None, core_only=True):
             if seen[u] == lam:
                 continue
             for w in scene.neighbors(u):
-                if w not in seen and w in set(scene.vertices):
+                if w not in seen and w in region:
                     seen[w] = seen[u] + 1
                     todo.append(w)
         reach[v] = {w for w in seen if w in allowed}
@@ -1200,8 +1198,9 @@ def edge_substitute(pattern, x1, x2, assignment, target, window=None,
 
 _SPAN_PRIME = 67108859
 # Every f0/f1 entry and every accepted level entry of the ladder is below
-# this in magnitude.  Each ladder operation multiplies at most two such
-# factors or sums q of them, so no int64 product or sum can overflow.
+# this in magnitude, so accepted levels are stored as int32.  Each ladder
+# operation is carried in int64 and multiplies at most two such factors
+# or sums q of them, so no product or sum can overflow.
 LADDER_ENTRY_BOUND = 2 ** 31
 
 
@@ -1354,17 +1353,18 @@ class ColumnLadder:
             return False
         if self.spans[M].add(vec):
             self._check_entries(arr)
-            self.levels[M].append(arr)
+            # a view of a stored array stays a view
+            self.levels[M].append(arr.astype(self.np.int32, copy=False))
             return True
         return False
 
     def _seed(self):
         for fn in self.f0_vecs:
-            self._add(0, fn.copy())
-            self._add(1, fn.copy())
+            self._add(0, fn)
+            self._add(1, fn)
         if self.max_level >= 2:
             for w in self.f1_mats:
-                self._add(2, w.copy())
+                self._add(2, w)
 
     def _dup(self, arr, M, p):
         np = self.np
@@ -1390,7 +1390,7 @@ class ColumnLadder:
         return arr * f.reshape(shape)
 
     def _cap(self, arr, M, p):
-        return arr.sum(axis=p)
+        return arr.sum(axis=p, dtype=self.np.int64)
 
     def _merge(self, arr, M, p):
         np = self.np
@@ -1416,7 +1416,8 @@ class ColumnLadder:
         """Glue two loops at a shared basepoint, traversing x then y."""
         np = self.np
         q = self.q
-        prod = (x.reshape(x.shape + (1,) * (ky - 1))
+        # an int32 by int32 product would wrap: upcast one factor
+        prod = (x.astype(np.int64).reshape(x.shape + (1,) * (ky - 1))
                 * y.reshape((q,) + (1,) * (kx - 1) + y.shape[1:]))
         out = np.zeros(self._shape(kx + ky), dtype=np.int64)
         idx = np.arange(q)
@@ -1474,8 +1475,3 @@ class ColumnLadder:
 
     def basis(self, M):
         return self.levels[M]
-
-    def stacked(self, M):
-        """Basis as a matrix with one flattened element per row."""
-        np = self.np
-        return np.stack([a.ravel() for a in self.levels[M]])

@@ -127,9 +127,10 @@ def check_ladder_entry_bound(files, capsys, monkeypatch, name, bound,
 
 
 def test_haar_check_ladder_entry_bound(files, capsys, monkeypatch):
-    # P3 passes the certificate; its entries reach 4 by level 3 of the
-    # MorEngine ladder that the certificate reads
-    check_ladder_entry_bound(files, capsys, monkeypatch, "p3", 4)
+    # P3 passes the certificate; the function engine's bases are atom
+    # indicators, and every entry of the MorEngine ladder that the
+    # certificate reads is 1
+    check_ladder_entry_bound(files, capsys, monkeypatch, "p3", 1)
 
 
 def test_haar_check_ladder_entry_bound_on_the_gram_route(files, capsys,

@@ -1,10 +1,11 @@
-"""Tests for the function engine's stopping rule on finite graphs.
+"""Tests for the function engine on finite graphs.
 
-The engine stops its closure once the ranks of its spans reach the
-coherent-closure bound of the seeds.  These tests compare it with the
-same engine run without the bound, freeze the bounds of the benchmark
-and test graphs, and check that everything it reports moves with a
-relabeling of the vertices."""
+On a finite graph the engine reads its bases off the coherent closure of
+its seeds: the indicators of the pair atoms and of the diagonal atoms.
+These tests compare that span with a reference closure of the seeds over
+`RatSpan`, kept here as the oracle, freeze the atom counts of the
+benchmark and test graphs, and check that everything the engine and its
+minimal projections report moves with a relabeling of the vertices."""
 
 import itertools
 
@@ -13,22 +14,101 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgs.morspace as ms
+from qgs.bilabeled import BiLabeled
 from qgs.graphs import FiniteGraph
+from qgs.hommat import hom_matrix
+from qgs.quantiso import planar_patterns
+from qgs.ratmat import RatSpan
 
 
-class UnboundedEngine(ms.FunctionEngine):
-    """The function engine with its stopping rule switched off."""
-
-    def _coherent_bound(self):
-        return None
-
-
-def engine(g, cls=ms.FunctionEngine):
-    return cls(ms.Scene.finite(g))
+def engine(g):
+    return ms.FunctionEngine(ms.Scene.finite(g))
 
 
 def ranks(fe):
     return len(fe.f0_items), len(fe.f1_items)
+
+
+def seeds(g):
+    """The engine's seeds as (vertex functions, pair functions): the
+    diagonal, and the pinned count of every planar pattern on at most
+    GADGET_VERTICES vertices at every pair of pins, with its diagonal
+    as a vertex function where the pins coincide."""
+    f0, f1 = [], [{(u, u): 1 for u in range(g.vertex_count)}]
+    for pat in planar_patterns(ms.GADGET_VERTICES):
+        for x1, x2 in itertools.product(range(pat.vertex_count), repeat=2):
+            hm = hom_matrix(BiLabeled(pat, (x1, x2), (x1, x2)), g)
+            fn = {i: c for (i, _j), c in hm.entries.items()}
+            f1.append(fn)
+            if x1 == x2:
+                f0.append({u: c for (u, v), c in fn.items() if u == v})
+    return f0, f1
+
+
+def reference_closure(g):
+    """Bases (f0, f1) of the spans generated from the seeds by pointwise
+    product, swap, diagonal restriction, left and right scaling by a
+    vertex function, row and column sums and convolution, run until a
+    round adds nothing.  Every operation is applied to every pair of
+    items of which at least one is new."""
+    spans = (RatSpan(), RatSpan())
+    items = ([], [])
+
+    def offer(arity, fns):
+        new = [fn for fn in fns if spans[arity].add(fn)]
+        items[arity].extend(new)
+        return new
+
+    f0_seeds, f1_seeds = seeds(g)
+    new0, new1 = offer(0, f0_seeds), offer(1, f1_seeds)
+    while new0 or new1:
+        f0, f1 = items
+        c0, c1 = [], []
+        for a in new1:
+            for b in f1:
+                c1 += [ms._pw_mul(a, b), ms.mat_mul(a, b), ms.mat_mul(b, a)]
+            c1.append({(v, u): c for (u, v), c in a.items()})
+            c0.append(ms._diagonal(a))
+            rows, cols = {}, {}
+            for (u, v), c in a.items():
+                rows[u] = rows.get(u, 0) + c
+                cols[v] = cols.get(v, 0) + c
+            c0 += [rows, cols]
+        for f, a in itertools.chain(itertools.product(new0, f1),
+                                    itertools.product(f0, new1)):
+            c1.append({(u, v): f[u] * c for (u, v), c in a.items()
+                       if u in f})
+            c1.append({(u, v): c * f[v] for (u, v), c in a.items()
+                       if v in f})
+        for f in new0:
+            c0 += [ms._pw_mul(f, b) for b in f0]
+        new0, new1 = offer(0, c0), offer(1, c1)
+    return items
+
+
+def constant_on(fn, atoms):
+    """Whether fn lies in the span of the indicators of the disjoint
+    atoms that cover its support."""
+    return all(len({fn.get(k, 0) for k in atom}) == 1 for atom in atoms)
+
+
+def check_atoms(fe, g):
+    """The engine's items are the indicators of a partition of the pairs
+    (f1) and of the vertices (f0), the latter being the diagonal atoms;
+    returns both partitions."""
+    n = g.vertex_count
+    pair_atoms = [sorted(fn) for fn, _r, _p in fe.f1_items]
+    assert all(set(fn.values()) == {1} for fn, _r, _p in fe.f1_items)
+    assert sorted(p for a in pair_atoms for p in a) == sorted(
+        itertools.product(range(n), repeat=2))
+    vertex_atoms = [sorted(fn) for fn, _p in fe.f0_items]
+    assert all(set(fn.values()) == {1} for fn, _p in fe.f0_items)
+    assert vertex_atoms == [[u for u, _v in a] for a in pair_atoms
+                            if a[0][0] == a[0][1]]
+    assert sorted(v for a in vertex_atoms for v in a) == list(range(n))
+    # one deterministic order: by least pair
+    assert pair_atoms == sorted(pair_atoms)
+    return vertex_atoms, pair_atoms
 
 
 def circulant(n, steps):
@@ -55,7 +135,7 @@ def petersen():
 
 
 # the benchmark's `orbits` graphs (8 vertices last) and `dims` graphs,
-# copied here so that the frozen bounds below stay tied to them
+# copied here so that the frozen counts below stay tied to them
 ORBITS_GRAPHS = [
     FiniteGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]),
     FiniteGraph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 4),
@@ -76,8 +156,10 @@ DIMS_GRAPHS = [
                     (2, 6), (4, 6), (4, 7), (5, 6), (6, 7)]),
 ]
 
-# (f0 rank, f1 rank) of the closure run without the stopping rule
-FROZEN_BOUNDS = [
+# (diagonal atoms, pair atoms) of the coherent closure of the seeds: the
+# bound on any generated (f0, f1) rank, and the ranks of the reference
+# closure on these connected graphs
+FROZEN_ATOM_COUNTS = [
     (ORBITS_GRAPHS[0], (4, 17)), (ORBITS_GRAPHS[1], (6, 36)),
     (ORBITS_GRAPHS[2], (6, 37)), (ORBITS_GRAPHS[3], (8, 64)),
     (DIMS_GRAPHS[0], (3, 10)), (DIMS_GRAPHS[1], (4, 18)),
@@ -88,17 +170,18 @@ FROZEN_BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("g, bound", FROZEN_BOUNDS)
+@pytest.mark.parametrize("g, bound", FROZEN_ATOM_COUNTS)
 def test_frozen_bounds_are_the_final_ranks(g, bound):
     fe = engine(g)
-    assert fe.bound == bound
+    vertex_atoms, pair_atoms = check_atoms(fe, g)
+    assert (len(vertex_atoms), len(pair_atoms)) == bound
     assert ranks(fe) == bound
-    assert fe.stable
+    assert fe.stable and fe.rounds == 0
 
 
 @st.composite
 def graphs(draw):
-    n = draw(st.integers(4, 7))
+    n = draw(st.integers(2, 7))
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
@@ -107,26 +190,44 @@ def graphs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(graphs())
-def test_bound_stops_without_changing_the_items(g):
+def test_atom_span_is_the_reference_closure(g):
     fe = engine(g)
-    ref = engine(g, UnboundedEngine)
-    assert ref.bound is None
-    assert fe.f0_items == ref.f0_items
-    assert fe.f1_items == ref.f1_items
-    assert fe.stable and ref.stable
-    assert fe.rounds <= ref.rounds
-    assert fe.bound[0] >= ranks(fe)[0] and fe.bound[1] >= ranks(fe)[1]
+    vertex_atoms, pair_atoms = check_atoms(fe, g)
+    ref0, ref1 = reference_closure(g)
+    # the atoms span a space closed under every operation of the
+    # reference, which contains its seeds
+    assert all(constant_on(fn, [set(a) for a in vertex_atoms])
+               for fn in ref0)
+    assert all(constant_on(fn, [set(a) for a in pair_atoms])
+               for fn in ref1)
     if g.is_connected():
-        assert fe.bound == ranks(fe)
+        assert ranks(fe) == (len(ref0), len(ref1))
 
 
 def test_disconnected_bound_exceeds_the_rank():
-    # on P3 + K3 the refined colour classes span more than the closure
+    # on P3 + K3 the atoms span J, the hom matrix of two labels without
+    # an edge between them, which no operation of the reference closure
+    # reaches from the connected patterns: the closure has rank (3, 7)
+    # inside the (3, 11) atoms
     g = FiniteGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
     fe = engine(g)
-    assert fe.bound == (3, 11)
-    assert ranks(fe) == (3, 7)
-    assert fe.f1_items == engine(g, UnboundedEngine).f1_items
+    _vertex_atoms, pair_atoms = check_atoms(fe, g)
+    assert ranks(fe) == (3, 11)
+    span = RatSpan()
+    for fn in fe.f1_basis():
+        span.add(fn)
+    j = {(u, v): 1 for u in range(6) for v in range(6)}
+    assert span.contains(j)
+    ref0, ref1 = reference_closure(g)
+    assert (len(ref0), len(ref1)) == (3, 7)
+    assert all(span.contains(fn) for fn in ref1)
+    ref = RatSpan()
+    for fn in ref1:
+        ref.add(fn)
+    assert not ref.contains(j)
+    # the vertex orbits are those of the components' automorphisms
+    assert sorted(map(sorted, ms.quantum_orbits(g).classes)) == \
+        [[0, 2], [1], [3, 4, 5]]
 
 
 def relabel(g, perm):
@@ -141,7 +242,6 @@ def test_engine_reports_move_with_a_relabeling(g, rng):
     rng.shuffle(perm)
     h = relabel(g, perm)
     fe, moved = engine(g), engine(h)
-    assert moved.bound == fe.bound
     assert ranks(moved) == ranks(fe)
 
     def orbits(graph):
@@ -153,17 +253,49 @@ def test_engine_reports_move_with_a_relabeling(g, rng):
         for a in fe.pair_atoms()}
 
 
-@pytest.mark.parametrize("bounded, exactness",
-                         [(False, "round-bounded(1)"), (True, "exact")])
-def test_orbits_exact_only_for_a_complete_closure(monkeypatch, bounded,
-                                                  exactness):
-    # one round does not close the 8-vertex graph, but its ranks reach
-    # the bound within that round
+@settings(max_examples=20, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False),
+       st.sampled_from(["planar", "all"]))
+def test_minimal_projections_move_with_a_relabeling(g, rng, category):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+
+    def projections(graph, moved):
+        """Each projection at arities 0 and 1 as (block as two vertex
+        lists, d_left, d_right, exact, support), in the labels of g."""
+        back = {perm[v]: v for v in range(g.vertex_count)} if moved \
+            else {v: v for v in range(g.vertex_count)}
+        classes = ms.quantum_orbits(graph, category).classes
+        out = []
+        for arity in (0, 1):
+            basis = ms.generate_mor(graph, arity, arity, category=category)
+            for p in ms.minimal_projections(basis):
+                block = tuple(sorted(back[v] for v in classes[b])
+                              for b in p.block)
+                support = sorted(tuple(back[v] for v in i)
+                                 for (i, _j) in p.matrix)
+                out.append((arity, block, p.d_left, p.d_right, p.exact,
+                            support))
+        return sorted(out)
+
+    assert projections(h, True) == projections(g, False)
+
+
+def test_finite_orbits_are_exact_in_one_round(monkeypatch):
+    # the round cap bounds the window closure only: a finite engine reads
+    # its atoms off in no round at all
     monkeypatch.setattr(ms, "FUNCTION_ROUNDS", 1)
     monkeypatch.setattr(ms, "_function_engines", {})
-    if not bounded:
-        monkeypatch.setattr(ms.FunctionEngine, "_coherent_bound",
-                            UnboundedEngine._coherent_bound)
     orb = ms.quantum_orbits(ORBITS_GRAPHS[3])
-    assert orb.exactness == exactness
+    assert orb.exactness == "exact"
     assert orb.matches_classical
+    assert ms.function_engine(ORBITS_GRAPHS[3], "all").rounds == 0
+
+
+def test_finite_engine_builds_no_ratspan(monkeypatch):
+    def refuse():
+        raise AssertionError("RatSpan built on a finite scene")
+
+    monkeypatch.setattr(ms, "RatSpan", refuse)
+    assert ranks(engine(ORBITS_GRAPHS[0])) == (4, 17)

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from qgs.graphs import (FiniteGraph, ValidationError, classical_aut,
-                        grandparent_graph, tree_provider)
+from qgs.graphs import (BudgetExceeded, FiniteGraph, ValidationError,
+                        classical_aut, grandparent_graph, tree_provider)
 import qgs.morspace as ms
 import qgs.hommat as hm
 from qgs.bilabeled import BiLabeled
@@ -413,6 +413,37 @@ def test_ladder_tuple_operations_match_their_loop_forms():
             other = draw(ky)
             assert np.array_equal(lad._wedge(arr, M, other, ky),
                                   loop_wedge(arr, M, other, ky, q))
+
+
+def test_ladder_operations_on_int32_levels_do_not_wrap():
+    import numpy as np
+    # accepted levels are stored as int32; products and sums of entries
+    # below the ladder entry bound are carried in int64
+    lad = ms.ColumnLadder(p3(), "planar", max_level=3)
+    assert all(a.dtype == np.int32 for level in lad.levels.values()
+               for a in level)
+    q = lad.q
+    top = ms.LADDER_ENTRY_BOUND - 1
+    big = np.full((q, q), top, dtype=np.int32)
+    wide = big.astype(np.int64)
+    assert np.array_equal(lad._wedge(big, 2, big, 2),
+                          loop_wedge(wide, 2, wide, 2, q))
+    assert int(lad._wedge(big, 2, big, 2).max()) == top * top
+    assert np.array_equal(lad._cap(big, 2, 1), np.full(q, q * top))
+    assert np.array_equal(lad._scale_edge(big, 2, 0, wide),
+                          np.full((q, q), top * top))
+
+
+def test_ladder_entry_bound_checks_accepted_levels(monkeypatch):
+    import numpy as np
+    # the function engine's atom seeds have entries 1, and so does every
+    # level they generate on the small graphs; a larger accepted entry
+    # must still meet the bound before it is stored as int32
+    lad = ms.ColumnLadder(p3(), "planar", max_level=2)
+    lad.spans = {2: ms.SpanModP(len(lad.reps[2]))}
+    monkeypatch.setattr(ms, "LADDER_ENTRY_BOUND", 2)
+    with pytest.raises(BudgetExceeded, match="ladder entry bound 2"):
+        lad._add(2, 2 * np.eye(3, dtype=np.int64))
 
 
 # Aut-orbit coordinates of the ladder
