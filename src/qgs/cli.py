@@ -119,6 +119,9 @@ def cmd_haar_check(args):
     if not args.graph:
         raise ValidationError("flag --graph is required")
     g = load_graph(args.graph[0])
+    if g.vertex_count == 0:
+        # the Haar state is evaluated at base vertex 0
+        raise ValidationError("haar-check needs a graph with a vertex")
     n_max = max(1, args.depth - 4)
     hs = algebra.haar_system(g, category=args.category,
                              max_level=max(args.depth, n_max + 5))

@@ -14,14 +14,23 @@ rest into connected parts whose counts multiply (elimination as in
 Diaz, Serna and Thilikos, "Counting H-colorings of partial k-trees").
 A part's count is memoized on the images of its boundary, the assigned
 vertices it touches, so it is computed once per boundary image and not
-once per pinned tuple.  Other windowed patterns and finite targets
-enumerate homomorphisms by backtracking.
+once per pinned tuple.  Other windowed patterns enumerate
+homomorphisms by backtracking.
+
+Finite targets are also enumerated by backtracking in `hom_matrix`,
+which builds the complete sparse matrix of any bi-labeled graph.  The
+pinned counts of a pattern at every pair of pins come instead from one
+vectorized enumeration (`hom_rows`): a join over the target's
+neighbour arrays with one row per homomorphism, whose pair counts are
+bincounts of its columns (`pinned_pair_counts`).
 """
 
 from collections import deque
 from operator import itemgetter
 
-from .graphs import ValidationError
+import numpy as np
+
+from .graphs import BudgetExceeded, ValidationError
 
 
 class TupleWindow:
@@ -151,6 +160,89 @@ def hom_matrix(k, target):
     _enumerate_homs(k.graph, _search_order(k.graph, []), target.neighbors,
                     lambda: range(target.vertex_count), {}, visit)
     return HomMatrix(k, entries)
+
+
+def _csr(target):
+    """CSR neighbour arrays (indptr, indices) and the boolean adjacency
+    matrix of a finite graph; neighbour lists are sorted."""
+    q = target.vertex_count
+    degrees = [target.degree(v) for v in range(q)]
+    indptr = np.zeros(q + 1, dtype=np.intp)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.fromiter((w for v in range(q) for w in target.neighbors(v)),
+                          dtype=np.intp, count=int(indptr[-1]))
+    adj = np.zeros((q, q), dtype=bool)
+    adj[np.repeat(np.arange(q), degrees), indices] = True
+    return indptr, indices, adj
+
+
+def hom_rows(pattern, target, budget_bytes):
+    """Every homomorphism of the graph `pattern` into the finite graph
+    `target`, one row per map; column v holds the image of pattern
+    vertex v (int32).
+
+    The rows are built by a join in `_search_order`: each step extends
+    every row by the target neighbours of the image of the vertex's
+    first earlier neighbour (its first anchor), keeps the candidates
+    adjacent to the images of its other anchors, and on a looped vertex
+    only looped candidates.  A vertex with no earlier neighbour takes
+    every target vertex.  Each step knows its number of candidate rows
+    before it allocates: with its index arrays, a candidate takes n
+    int32 images and four intp words.  Raises BudgetExceeded when a
+    step would take more than budget_bytes."""
+    n = pattern.vertex_count
+    q = target.vertex_count
+    indptr, indices, adj = _csr(target)
+    rows = np.zeros((1, n), dtype=np.int32)
+    assigned = set()
+    for v in _search_order(pattern, []):
+        anchors = [w for w in pattern.neighbors(v) if w in assigned]
+        if anchors:
+            first = rows[:, anchors[0]]
+            deg = indptr[first + 1] - indptr[first]
+            total = int(deg.sum())
+        else:
+            total = len(rows) * q
+        need = total * (n * rows.itemsize + 4 * np.intp(0).itemsize)
+        if need > budget_bytes:
+            raise BudgetExceeded(
+                "the homomorphism rows of a %d-vertex pattern on %d "
+                "vertices need %d bytes, over the signature budget of %d "
+                "bytes" % (n, q, need, budget_bytes))
+        if anchors:
+            src = np.repeat(np.arange(len(rows)), deg)
+            start = indptr[first] - (np.cumsum(deg) - deg)
+            new = indices[np.arange(total) + np.repeat(start, deg)]
+        else:
+            src = np.repeat(np.arange(len(rows)), q)
+            new = np.tile(np.arange(q), len(rows))
+        keep = np.ones(total, dtype=bool)
+        for w in anchors[1:]:
+            keep &= adj[new, rows[src, w]]
+        if pattern.has_edge(v, v):
+            keep &= adj[new, new]
+        rows = rows[src[keep]]
+        rows[:, v] = new[keep]
+        assigned.add(v)
+    return rows
+
+
+def pinned_pair_counts(pattern, target, budget_bytes):
+    """Pinned counts of `pattern` in the finite `target` at every pair
+    of pins: counts[x1, x2, i * q + j] is the number of homomorphisms
+    mapping x1 to i and x2 to j, the entry ((i, j), (i, j)) of
+    hom_matrix(BiLabeled(pattern, (x1, x2), (x1, x2)), target).  One
+    enumeration (`hom_rows`) serves every pair of pins."""
+    n = pattern.vertex_count
+    q = target.vertex_count
+    rows = hom_rows(pattern, target, budget_bytes)
+    counts = np.zeros((n, n, q * q), dtype=np.int64)
+    for x1 in range(n):
+        left = rows[:, x1].astype(np.int64) * q
+        for x2 in range(n):
+            counts[x1, x2] = np.bincount(left + rows[:, x2],
+                                         minlength=q * q)
+    return counts
 
 
 class _Part:

@@ -273,3 +273,33 @@ def test_determinism_and_out_file(files, capsys, tmp_path):
     assert out.read_bytes() == first
     doc = json.loads(first)
     assert doc["config"]["out"] == str(out)
+
+
+def test_haar_check_rejects_a_graph_without_vertices(capsys, tmp_path):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("finite 0\n")
+    code, doc, err = run(capsys, ["haar-check", "--graph", str(empty)])
+    assert code == 1 and doc is None
+    assert "haar-check needs a graph with a vertex" in err
+    # orbits and dims accept it
+    for argv in (["orbits"], ["dims", "--depth", "1"]):
+        code, doc, _ = run(capsys, argv + ["--graph", str(empty)])
+        assert code == 0
+
+
+@pytest.mark.parametrize("budget, what", [(1000, "refinement keys"),
+                                          (1200, "homomorphism rows")])
+def test_function_engine_budget(files, capsys, monkeypatch, budget, what):
+    # on K4 the refinement keys and their sorted copy take
+    # 2 * 4^3 * 8 = 1024 bytes, and the 36 candidate rows of the
+    # 3-vertex path 36 * (3 * 4 + 4 * 8) = 1584 bytes
+    from qgs import morspace
+    from qgs.cli import load_graph
+    from qgs.graphs import BudgetExceeded
+    monkeypatch.setattr(morspace, "_function_engines", {})
+    monkeypatch.setattr(quantiso, "SIGNATURE_BUDGET_BYTES", budget)
+    with pytest.raises(BudgetExceeded, match=what):
+        morspace.function_engine(load_graph(files["k4"]))
+    code, doc, err = run(capsys, ["orbits", "--graph", files["k4"]])
+    assert code == 2 and doc is None
+    assert what in err and "signature budget of %d bytes" % budget in err

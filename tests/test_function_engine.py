@@ -2,10 +2,12 @@
 
 On a finite graph the engine reads its bases off the coherent closure of
 its seeds: the indicators of the pair atoms and of the diagonal atoms.
-These tests compare that span with a reference closure of the seeds over
-`RatSpan`, kept here as the oracle, freeze the atom counts of the
-benchmark and test graphs, and check that everything the engine and its
-minimal projections report moves with a relabeling of the vertices."""
+These tests compare the atoms with a reference refinement over dicts of
+seeds counted by backtracking, and their span with a reference closure
+of the seeds over `RatSpan`, both kept here as oracles; they freeze the
+atom counts of the benchmark and test graphs and the orbits of a
+60-vertex graph, and check that everything the engine and its minimal
+projections report moves with a relabeling of the vertices."""
 
 import itertools
 
@@ -43,6 +45,34 @@ def seeds(g):
             if x1 == x2:
                 f0.append({u: c for (u, v), c in fn.items() if u == v})
     return f0, f1
+
+
+def reference_atoms(g):
+    """The pair atoms of the coherent closure of the seeds, each a list
+    of pairs, in the order of their least pairs, by 2-dimensional
+    Weisfeiler-Leman refinement over dicts: each pair starts coloured by
+    its values under every seed and is refined by
+    c'(u, v) = (c(u, v), c(v, u), multiset of (c(u, w), c(w, v))),
+    until the number of colours stops growing."""
+    verts = range(g.vertex_count)
+    pairs = list(itertools.product(verts, repeat=2))
+    f1 = seeds(g)[1]
+    colour = {p: tuple(fn.get(p, 0) for fn in f1) for p in pairs}
+    count = len(set(colour.values()))
+    while True:
+        ids = {}
+        c = {p: ids.setdefault(k, len(ids)) for p, k in colour.items()}
+        colour = {(u, v): (c[u, v], c[v, u],
+                           tuple(sorted((c[u, w], c[w, v]) for w in verts)))
+                  for (u, v) in pairs}
+        grown = len(set(colour.values()))
+        if grown == count:
+            break
+        count = grown
+    atoms = {}
+    for p in pairs:
+        atoms.setdefault(colour[p], []).append(p)
+    return list(atoms.values())
 
 
 def reference_closure(g):
@@ -202,6 +232,44 @@ def test_atom_span_is_the_reference_closure(g):
                for fn in ref1)
     if g.is_connected():
         assert ranks(fe) == (len(ref0), len(ref1))
+
+
+@st.composite
+def loopy_graphs(draw):
+    """Graphs on 0..10 vertices with loops; isolated vertices and
+    several components are common."""
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return FiniteGraph(n, [e for e, keep in zip(pairs, mask) if keep])
+
+
+@settings(max_examples=30, deadline=None)
+@given(loopy_graphs())
+def test_atoms_are_the_reference_refinement(g):
+    assert ms._coherent_atoms(g) == reference_atoms(g)
+
+
+# C60 with three diameters 30 apart in steps of 10: its automorphism
+# group is dihedral of order 12, and no vertex count here is small
+# enough for a dense q^4 pattern tensor to be cheap
+C60_CHORDS = FiniteGraph(60, [(i, (i + 1) % 60) for i in range(60)]
+                         + [(i, i + 30) for i in (0, 10, 20)])
+C60_CHORDS_ORBITS = [
+    [0, 10, 20, 30, 40, 50],
+    [1, 9, 11, 19, 21, 29, 31, 39, 41, 49, 51, 59],
+    [2, 8, 12, 18, 22, 28, 32, 38, 42, 48, 52, 58],
+    [3, 7, 13, 17, 23, 27, 33, 37, 43, 47, 53, 57],
+    [4, 6, 14, 16, 24, 26, 34, 36, 44, 46, 54, 56],
+    [5, 15, 25, 35, 45, 55],
+]
+
+
+def test_orbits_of_a_60_vertex_graph_frozen():
+    orb = ms.quantum_orbits(C60_CHORDS, "all")
+    assert sorted(map(sorted, orb.classes)) == C60_CHORDS_ORBITS
+    assert orb.exactness == "exact"
 
 
 def test_disconnected_bound_exceeds_the_rank():

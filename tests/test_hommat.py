@@ -1,16 +1,20 @@
 """Tests for exact homomorphism matrices and partial traces."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgs import bilabeled as B
 from qgs import hommat as H
 from qgs import graphs as G
 from qgs import morspace as M
 from qgs.graphs import FiniteGraph, cycle_graph, path_graph
+from qgs.quantiso import SIGNATURE_BUDGET_BYTES, planar_patterns
 
 
 def random_blg(rng, max_v=4, max_lab=3, require=None):
@@ -77,6 +81,56 @@ def test_functoriality_random_cases():
             for j in t12[i]:
                 assert t12[i][j] == sum(t1[i][h] * t2[h][j] for h in mids)
         done += 1
+
+
+@st.composite
+def loopy_targets(draw):
+    """Targets on 0..10 vertices with loops; isolated vertices and
+    several components are common."""
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return FiniteGraph(n, [e for e, keep in zip(pairs, mask) if keep])
+
+
+@settings(max_examples=25, deadline=None)
+@given(loopy_targets())
+def test_pinned_pair_counts_match_backtracking(g):
+    q = g.vertex_count
+    for pat in planar_patterns(4):
+        counts = H.pinned_pair_counts(pat, g, SIGNATURE_BUDGET_BYTES)
+        for x1, x2 in itertools.product(range(pat.vertex_count), repeat=2):
+            hm = H.hom_matrix(B.BiLabeled(pat, (x1, x2), (x1, x2)), g)
+            want = [0] * (q * q)
+            for ((i, j), _col), c in hm.entries.items():
+                want[i * q + j] = c
+            assert counts[x1, x2].tolist() == want
+
+
+@pytest.mark.parametrize("looped", [0, 1])
+def test_hom_rows_follow_looped_pattern_vertices(looped):
+    # a looped pattern vertex maps only to looped target vertices, both
+    # first in search order (no anchor) and after its anchor
+    pattern = FiniteGraph(2, [(looped, looped), (0, 1)])
+    target = FiniteGraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
+    rows = sorted(map(tuple, H.hom_rows(pattern, target, 1 << 20).tolist()))
+    assert rows == sorted(tuple(reversed(r)) if looped else r
+                          for r in [(0, 0), (0, 1), (2, 1), (2, 2)])
+    hm = H.hom_matrix(B.BiLabeled(pattern, (0, 1), ()), target)
+    assert rows == sorted(i for (i, _j) in hm.entries)
+
+
+def test_hom_rows_budget():
+    # the 4-vertex path on K4 has 4 * 3^3 = 108 rows, and each candidate
+    # takes 4 int32 images and 4 intp index words
+    path = FiniteGraph(4, [(0, 1), (1, 2), (2, 3)])
+    k4 = FiniteGraph(4, list(itertools.combinations(range(4), 2)))
+    need = 108 * (4 * 4 + 4 * np.intp(0).itemsize)
+    assert len(H.hom_rows(path, k4, need)) == 108
+    with pytest.raises(G.BudgetExceeded,
+                       match="signature budget of %d" % (need - 1)):
+        H.hom_rows(path, k4, need - 1)
 
 
 def test_tensor_and_transpose_functoriality():
