@@ -762,14 +762,15 @@ def u_word(system, e, factors):
     return system.decompose(len(i) + 1, mat)
 
 
-def delta_checks(graph, e, f, category="planar"):
+def delta_checks(graph, e, f, category="planar", max_level=7):
     """Modular-element and base-point reports for a finite graph.
 
     Verifies that the right Haar functional is the left one twisted by
     the weight-ratio action of the modular element, and that changing
     the base vertex rescales the left Haar functional by mu_f / mu_e.
-    Words of length up to two are checked exhaustively."""
-    hs = haar_system(graph, category)
+    Words of length up to two are checked exhaustively, on the system
+    of `haar_system(graph, category, max_level)`."""
+    hs = haar_system(graph, category, max_level)
     q = hs.q
     worst_modular = 0.0
     worst_base = 0.0

@@ -3,8 +3,10 @@
 Subcommands bind the library modules to reproducible JSON reports: every
 report embeds the run configuration verbatim, names the arithmetic
 regime of each numeric table and is byte-identical for identical inputs
-and configuration.  Exit codes: 0 success, 1 input error, 2 budget
-exceeded, 3 numerical failure.
+and configuration.  A subcommand takes only the flags its handler reads
+(`COMMANDS`), and its report's `config` holds exactly those settings,
+input files excepted.  Exit codes: 0 success, 1 input or usage error
+(an unknown flag included), 2 budget exceeded, 3 numerical failure.
 """
 
 import argparse
@@ -44,13 +46,6 @@ def load_provider(path, vertex_budget):
 
 def load_group(path):
     return group_from_spec(_read_json(path, "group"))
-
-
-def run_config(args):
-    return {"seed": args.seed, "tol": args.tol, "depth": args.depth,
-            "radius": args.radius, "category": args.category,
-            "budget_vertices": args.budget_vertices,
-            "budget_closure": args.budget_closure, "out": args.out}
 
 
 def _target(args):
@@ -141,7 +136,8 @@ def cmd_haar_check(args):
         val = hs.phi_e(algebra.word_mul(x, algebra.word_star(x)), 0)
         min_positivity = min(min_positivity, val)
     delta = algebra.delta_checks(g, 0, g.vertex_count - 1,
-                                 category=args.category)
+                                 category=args.category,
+                                 max_level=hs.max_level)
     residuals = {"left_invariance": worst_invariance,
                  "modular": delta["modular_residual"],
                  "base_change": delta["base_change_residual"],
@@ -223,9 +219,45 @@ def cmd_quantize(args):
     return report, 0
 
 
-COMMANDS = {"orbits": cmd_orbits, "dims": cmd_dims, "mu": cmd_mu,
-            "haar-check": cmd_haar_check, "planar-iso": cmd_planar_iso,
-            "quantize": cmd_quantize}
+def _positive(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be positive, not %s" % text)
+    return value
+
+
+# Every flag's argparse spec, once.
+FLAGS = {
+    "--graph": {"action": "append",
+                "help": "finite graph file (repeatable for planar-iso)"},
+    "--provider": {"help": "provider spec JSON file"},
+    "--group": {"help": "group spec JSON file"},
+    "--category": {"default": "planar", "choices": ("planar", "all")},
+    "--depth": {"type": int, "default": 6},
+    "--radius": {"type": int, "default": 4},
+    "--tol": {"type": _positive, "default": 1e-9},
+    "--seed": {"type": int, "default": 0},
+    "--out": {"help": "output path (default: stdout)"},
+    "--budget-vertices": {"type": int, "default": 20000},
+    "--nmax": {"type": int, "default": 4},
+}
+# inputs, not settings: left out of a report's config
+INPUT_FLAGS = ("--graph", "--provider", "--group")
+# what `_target` reads, the engines' category and the output path
+_TARGET = ("--graph", "--provider", "--radius", "--budget-vertices",
+           "--category", "--out")
+# Per subcommand: its handler, the flags it reads and the defaults in
+# which it differs from FLAGS.
+COMMANDS = {
+    "orbits": (cmd_orbits, _TARGET, {}),
+    "dims": (cmd_dims, _TARGET + ("--depth", "--tol", "--seed"),
+             {"depth": 2}),
+    "mu": (cmd_mu, _TARGET, {}),
+    "haar-check": (cmd_haar_check, ("--graph", "--category", "--depth",
+                                    "--tol", "--seed", "--out"), {}),
+    "planar-iso": (cmd_planar_iso, ("--graph", "--depth", "--out"), {}),
+    "quantize": (cmd_quantize, ("--group", "--nmax", "--out"), {}),
+}
 
 
 def build_parser():
@@ -234,24 +266,19 @@ def build_parser():
         description="quantum graph symmetry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(COMMANDS):
+        _, flags, defaults = COMMANDS[name]
         p = sub.add_parser(name)
-        p.add_argument("--graph", action="append",
-                       help="finite graph file (repeatable for planar-iso)")
-        p.add_argument("--provider", help="provider spec JSON file")
-        p.add_argument("--group", help="group spec JSON file")
-        p.add_argument("--category", default="planar",
-                       choices=("planar", "all"))
-        p.add_argument("--depth", type=int,
-                       default=6 if name in ("planar-iso", "haar-check")
-                       else 2)
-        p.add_argument("--radius", type=int, default=4)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--budget-vertices", type=int, default=20000)
-        p.add_argument("--budget-closure", type=int, default=30000)
-        p.add_argument("--nmax", type=int, default=4)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
+
+
+def run_config(args):
+    """The settings the command takes, as parsed."""
+    keys = (flag[2:].replace("-", "_") for flag in COMMANDS[args.command][1]
+            if flag not in INPUT_FLAGS)
+    return {key: getattr(args, key) for key in keys}
 
 
 def render(report, args):
@@ -262,13 +289,13 @@ def render(report, args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tol <= 0:
-        print("qgs: flag --tol must be positive", file=sys.stderr)
-        return 1
     try:
-        report, code = COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; exit 2 is kept for budgets
+        return 0 if exc.code == 0 else 1
+    try:
+        report, code = COMMANDS[args.command][0](args)
     except ValidationError as exc:
         print("qgs: %s" % exc, file=sys.stderr)
         return 1

@@ -1,11 +1,18 @@
 """Tests for the command-line frontend and its JSON reports."""
 
+import argparse
 import json
+import os
+import re
+import shlex
 
 import pytest
 
 from qgs import quantiso
-from qgs.cli import main
+from qgs.cli import (COMMANDS, FLAGS, INPUT_FLAGS, build_parser, main,
+                     run_config)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 C4 = "finite 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 0\n"
 P3 = "finite 3\nedge 0 1\nedge 1 2\n"
@@ -142,8 +149,10 @@ def test_haar_check_ladder_entry_bound_on_the_gram_route(files, capsys,
                              prebuilt=True)
 
 
-def test_haar_check_reports_quantum_symmetry(files, capsys, tmp_path):
+def test_haar_check_reports_quantum_symmetry(files, capsys, tmp_path,
+                                             monkeypatch):
     import time
+    from qgs import algebra
     # C5 has no quantum symmetry: the orbit route builds no ladder past
     # level 5, where the Gram route's level 7 alone is about 4.9 GB
     start = time.monotonic()
@@ -155,9 +164,12 @@ def test_haar_check_reports_quantum_symmetry(files, capsys, tmp_path):
     assert doc["arithmetic"] == "float64 on exact Aut-orbit counts"
     # K4 has quantum symmetry: the certificate fails, and the report
     # leaves the question open
+    monkeypatch.setattr(algebra, "_systems", {})
     code, doc, _ = run(capsys, ["haar-check", "--graph", files["k4"],
                                 "--depth", "5"])
     assert code == 0 and doc["passed"] is True
+    # the modular and base-change checks read the same level-6 system
+    assert [key[-1] for key in algebra._systems] == [6]
     assert doc["quantum_symmetry"] is None
     assert doc["arithmetic"] == "float64 on exact integer Gram data"
     # the certificate of category "all" does not speak of QAut
@@ -233,6 +245,7 @@ def test_quantize_supports(files, capsys):
     assert by_n[2]["support"] == [["a", "a"], ["b", "b"]]
     assert by_n[1]["size"] == 0 and by_n[3]["size"] == 0
     assert doc["group"]["symmetric"] is True
+    assert doc["config"] == {"nmax": 3, "out": None}
 
 
 def test_malformed_graph_cites_line(files, capsys, tmp_path):
@@ -258,10 +271,78 @@ def test_budget_exit_code(files, capsys):
 
 
 def test_bad_tol(files, capsys):
-    code, _, err = run(capsys, ["orbits", "--graph", files["p3"],
+    code, _, err = run(capsys, ["dims", "--graph", files["p3"],
                                 "--tol", "-1"])
     assert code == 1
     assert "--tol" in err
+
+
+def test_usage_errors_exit_1(files, capsys):
+    # exit 2 is kept for budgets; a flag the command does not read is a
+    # usage error
+    for argv, flag in ((["orbits", "--bogus"], "--bogus"),
+                       (["planar-iso", "--graph", files["c4"], "--graph",
+                         files["c4"], "--category", "all"], "--category")):
+        code, doc, err = run(capsys, argv)
+        assert code == 1 and doc is None
+        assert flag in err
+    assert main(["orbits", "--help"]) == 0
+    assert "--radius" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_each_command_takes_its_flags(name):
+    _, flags, defaults = COMMANDS[name]
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    parser = sub.choices[name]
+    taken = [s for a in parser._actions for s in a.option_strings
+             if s not in ("-h", "--help")]
+    assert sorted(taken) == sorted(flags)
+    # config echoes every setting and no input file
+    args = build_parser().parse_args([name])
+    config = run_config(args)
+    assert sorted(config) == sorted(f[2:].replace("-", "_") for f in flags
+                                    if f not in INPUT_FLAGS)
+    for key, value in defaults.items():
+        assert config[key] == value
+
+
+def test_flag_table_size():
+    assert sum(len(flags) for _, flags, _ in COMMANDS.values()) == 33
+    assert "--budget-closure" not in FLAGS
+
+
+def documented_commands():
+    """Every `qgs ...` line of README's "Command line" block and of the
+    CLI tour, with the brackets around optional parts and the bars
+    between alternatives dropped."""
+    with open(os.path.join(ROOT, "README.md")) as handle:
+        readme = handle.read()
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", readme,
+                      re.S).group(1)
+    with open(os.path.join(ROOT, "demos", "07_cli_tour.sh")) as handle:
+        tour = handle.read()
+    argvs = []
+    for text in (block, tour):
+        for line in text.splitlines():
+            line = line.strip()
+            if line.startswith("qgs "):
+                words = shlex.split(re.sub(r"[][]", " ", line))
+                argvs.append([word for word in words[1:] if word != "|"])
+    return argvs
+
+
+def test_documented_commands_parse():
+    argvs = documented_commands()
+    # between them they show every subcommand
+    assert {argv[0] for argv in argvs} == set(COMMANDS)
+    parser = build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("qgs %s does not parse" % " ".join(argv))
 
 
 def test_determinism_and_out_file(files, capsys, tmp_path):
