@@ -24,7 +24,8 @@ w = v.witness
 print("  witness pattern:", w["pattern"], "based at", w["basepoint"])
 print("  counts: %d on class %s of C4, %d on class %s of P4"
       % (w["count1"], w["orbit1"], w["count2"], w["orbit2"]))
-# the counts are reproducible by direct backtracking
+# the counts are reproducible from the homomorphism rows, independently
+# of the signature tensors
 print("  reproduced:",
       quantiso.pointed_hom_count(w["pattern"], w["basepoint"],
                                  cycle_graph(4), w["orbit1"][0]),

@@ -241,7 +241,6 @@ class HaarSystem:
         self.category = category
         self.q = graph.vertex_count
         self.max_level = max_level
-        self.max_word = max_level - 2
         self.dist = all_pairs_distances(graph)
         self.orbits = quantum_orbits(graph, category=category)
         self.mu = mu_assignment(graph, category=category).mu

@@ -10,6 +10,7 @@ input files excepted.  Exit codes: 0 success, 1 input or usage error
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -77,6 +78,10 @@ def cmd_orbits(args):
 
 
 def cmd_dims(args):
+    # Mor(n, m) is generated for n + m <= 4
+    if not 0 <= args.depth <= 2:
+        raise ValidationError("flag --depth of dims must be 0, 1 or 2, "
+                              "not %d" % args.depth)
     target, window = _target(args)
     out = []
     for arity in range(args.depth + 1):
@@ -111,15 +116,20 @@ def cmd_mu(args):
 
 
 def cmd_haar_check(args):
+    # words of length n_max = depth - 4 >= 1 need the ladder to level
+    # depth + 1 = n_max + 5
+    if args.depth < 5:
+        raise ValidationError("flag --depth of haar-check must be at least "
+                              "5, not %d" % args.depth)
     if not args.graph:
         raise ValidationError("flag --graph is required")
     g = load_graph(args.graph[0])
     if g.vertex_count == 0:
         # the Haar state is evaluated at base vertex 0
         raise ValidationError("haar-check needs a graph with a vertex")
-    n_max = max(1, args.depth - 4)
+    n_max = args.depth - 4
     hs = algebra.haar_system(g, category=args.category,
-                             max_level=max(args.depth, n_max + 5))
+                             max_level=args.depth + 1)
     rng = random.Random(args.seed)
     worst_invariance = 0.0
     for e in range(g.vertex_count):
@@ -260,6 +270,7 @@ COMMANDS = {
 }
 
 
+@functools.cache     # the parser depends on no input
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qgs",

@@ -153,10 +153,9 @@ def finite_provider(g):
 
 
 class EmbeddedBall:
-    """A radius-r ball of a provider, materialized as a FiniteGraph."""
+    """The vertices of a radius-r ball of a provider, in BFS order."""
 
-    def __init__(self, graph, keys, center, radius, distances):
-        self.graph = graph
+    def __init__(self, keys, center, radius, distances):
         self.keys = keys                       # local index -> provider key
         self.index = {k: i for i, k in enumerate(keys)}
         self.center = center
@@ -165,7 +164,7 @@ class EmbeddedBall:
 
 
 def ball(p, center, radius):
-    """BFS-exact ball with induced edges among its vertices."""
+    """BFS-exact ball: its vertex keys and their distances."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     dist = {center: 0}
@@ -183,14 +182,7 @@ def ball(p, center, radius):
                 dist[w] = dist[u] + 1
                 order.append(w)
                 todo.append(w)
-    idx = {k: i for i, k in enumerate(order)}
-    edges = []
-    for u in order:
-        for w in p.neighbors(u):
-            if w in idx:
-                edges.append((idx[u], idx[w]))
-    g = FiniteGraph(len(order), edges)
-    return EmbeddedBall(g, order, center, radius, dist)
+    return EmbeddedBall(order, center, radius, dist)
 
 
 def distance(p, u, v, cap):
@@ -230,16 +222,16 @@ def all_pairs_distances(g):
     return dist
 
 
-def classical_aut(g, limit=DEFAULT_AUT_LIMIT):
+def classical_aut(g):
     """All automorphisms of a small finite graph, plus the vertex orbits.
 
     Backtracking over images with degree and adjacency pruning.  Returns
     (list of permutations as tuples, orbit partition as list of sorted lists).
     """
     n = g.vertex_count
-    if n > limit:
-        raise ValidationError(
-            "vertex count %d exceeds brute-force limit %d" % (n, limit))
+    if n > DEFAULT_AUT_LIMIT:
+        raise ValidationError("vertex count %d exceeds brute-force limit %d"
+                              % (n, DEFAULT_AUT_LIMIT))
     degs = [g.degree(v) for v in range(n)]
     perms = []
     image = [None] * n

@@ -2,27 +2,27 @@
 
 The matrix of a bi-labeled graph over a target graph counts, for each
 pair (i,j) of label-image tuples, the graph homomorphisms K -> target
-pinning x to i and y to j.  Finite targets get complete sparse matrices;
-locally finite providers get windowed matrices where one side of label
-tuples ranges over an explicit tuple window and exploration stays inside
-balls around the pinned vertices.
+pinning x to i and y to j.  Each kind of target has one counting
+kernel.
 
-Where every label of a windowed pattern is pinned (x == y), entries are
-counted, not enumerated: a plan compiled once per call assigns the
-unpinned vertices in search order, and after each assignment splits the
-rest into connected parts whose counts multiply (elimination as in
-Diaz, Serna and Thilikos, "Counting H-colorings of partial k-trees").
-A part's count is memoized on the images of its boundary, the assigned
-vertices it touches, so it is computed once per boundary image and not
-once per pinned tuple.  Other windowed patterns enumerate
-homomorphisms by backtracking.
+Finite targets: `hom_rows` enumerates every homomorphism of a pattern
+at once, as a join over the target's neighbour arrays with one row per
+map, in the lexicographic order of the images along the search order.
+`hom_matrix` reads the complete sparse matrix off the rows' label
+columns, and `pinned_pair_counts` the counts at every pair of pins off
+bincounts of two columns.
 
-Finite targets are also enumerated by backtracking in `hom_matrix`,
-which builds the complete sparse matrix of any bi-labeled graph.  The
-pinned counts of a pattern at every pair of pins come instead from one
-vectorized enumeration (`hom_rows`): a join over the target's
-neighbour arrays with one row per homomorphism, whose pair counts are
-bincounts of its columns (`pinned_pair_counts`).
+Locally finite providers: `hom_matrix_windowed` pins the labels of one
+side to each tuple of a window and counts with a plan compiled once per
+call (`_Plan`).  The plan assigns the unpinned vertices in search order,
+and after each assignment splits the rest into connected parts whose
+counts multiply (elimination as in Diaz, Serna and Thilikos, "Counting
+H-colorings of partial k-trees").  A part's count is memoized on the
+images of its boundary, the assigned vertices it touches, so it is
+computed once per boundary image and not once per pinned tuple.  Output
+labels that are not pinned are free: a part that holds free vertices
+counts per image of them, so one pass gives every entry of a pinned
+tuple, and only the images that occur.
 """
 
 from collections import deque
@@ -64,13 +64,8 @@ def all_tuples_window(n_vertices, arity):
 class HomMatrix:
     """Sparse exact-integer homomorphism matrix of a bi-labeled graph."""
 
-    def __init__(self, blg, entries, row_window=None, col_window=None,
-                 complete=True):
-        self.blg = blg
+    def __init__(self, entries):
         self.entries = entries            # (row tuple, col tuple) -> int
-        self.row_window = row_window      # None means complete over target
-        self.col_window = col_window
-        self.complete = complete
 
     def entry(self, i, j):
         return self.entries.get((tuple(i), tuple(j)), 0)
@@ -110,56 +105,6 @@ def _pinned_search_order(g, pinned):
                 "pattern component without a pinned vertex")
         seen.add(v)
     return order
-
-
-def _enumerate_homs(g, order, neighbor_fn, all_vertices_fn, pins, visit):
-    """Backtracking over graph homomorphisms g -> target extending pins.
-
-    `order` lists the unpinned vertices, each after a neighbor where it
-    has one.  neighbor_fn(key) lists target neighbors; all_vertices_fn()
-    lists all target vertices (only reached by a vertex with no earlier
-    neighbor, so it may be None when every component is pinned).
-    visit(phi) is called per hom, in sorted candidate order, with the
-    full assignment dict."""
-    for (u, v) in pins.items():
-        for w in g.neighbors(u):
-            if w in pins and pins[w] not in neighbor_fn(v):
-                return
-    phi = dict(pins)
-
-    def extend(idx):
-        if idx == len(order):
-            visit(phi)
-            return
-        v = order[idx]
-        assigned_nbrs = [phi[w] for w in g.neighbors(v) if w in phi]
-        if assigned_nbrs:
-            cands = set(neighbor_fn(assigned_nbrs[0]))
-            for t in assigned_nbrs[1:]:
-                cands &= set(neighbor_fn(t))
-        else:
-            cands = all_vertices_fn()
-        if g.has_edge(v, v):
-            cands = [c for c in cands if c in neighbor_fn(c)]
-        for c in sorted(cands):
-            phi[v] = c
-            extend(idx + 1)
-            del phi[v]
-
-    extend(0)
-
-
-def hom_matrix(k, target):
-    """Complete sparse homomorphism matrix over a finite target."""
-    entries = {}
-
-    def visit(phi):
-        key = (tuple(phi[v] for v in k.x), tuple(phi[v] for v in k.y))
-        entries[key] = entries.get(key, 0) + 1
-
-    _enumerate_homs(k.graph, _search_order(k.graph, []), target.neighbors,
-                    lambda: range(target.vertex_count), {}, visit)
-    return HomMatrix(k, entries)
 
 
 def _csr(target):
@@ -227,6 +172,21 @@ def hom_rows(pattern, target, budget_bytes):
     return rows
 
 
+def hom_matrix(k, target, budget_bytes):
+    """Complete sparse homomorphism matrix over a finite target, read
+    off the label columns of hom_rows(k.graph, target, budget_bytes).
+    Entries are inserted in the order of their first homomorphism in
+    the rows' lexicographic search order.  Raises BudgetExceeded as
+    hom_rows does."""
+    labels = hom_rows(k.graph, target, budget_bytes)[:, list(k.x + k.y)]
+    keys, first, counts = np.unique(labels, axis=0, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first)
+    return HomMatrix({(key[:k.n], key[k.n:]): c for key, c in
+                      zip(map(tuple, keys[order].tolist()),
+                          counts[order].tolist())})
+
+
 def pinned_pair_counts(pattern, target, budget_bytes):
     """Pinned counts of `pattern` in the finite `target` at every pair
     of pins: counts[x1, x2, i * q + j] is the number of homomorphisms
@@ -251,14 +211,18 @@ class _Part:
     Its boundary is the set of assigned vertices it touches, and
     `images` reads their images off an assignment.  Given those, its
     count sums over the images of `vertex` (the common target neighbors
-    of the images of `anchors`, its assigned neighbors, kept only if
-    looped where `loop` is set) the product of the counts of `parts`,
-    the components of the rest once `vertex` is assigned.  `index`
-    numbers the part's memo table, and is None where the boundary is
-    every assigned vertex: those images differ for every pinned tuple
-    and every branch of the search, so a memo never hits."""
+    of the images of its assigned neighbors, `anchor` and then
+    `anchors`, kept only if looped where `loop` is set) the product of
+    the counts of `parts`, the components of the rest once `vertex` is
+    assigned.  `free` lists the part's free vertices: `vertex` first if
+    it is free, then those of `parts` in turn.  A part with free
+    vertices counts per tuple of their images.  `index` numbers the
+    part's memo table, and is None where the boundary is every assigned
+    vertex: those images differ for every pinned tuple and every branch
+    of the search, so a memo never hits."""
 
-    __slots__ = ("index", "images", "vertex", "anchors", "loop", "parts")
+    __slots__ = ("index", "images", "vertex", "anchor", "anchors", "loop",
+                 "parts", "free")
 
 
 class _NeighborSets(dict):
@@ -274,20 +238,27 @@ class _NeighborSets(dict):
         return s
 
 
+def _free_of(parts):
+    return tuple(v for p in parts for v in p.free)
+
+
 class _Plan:
     """Counting plan of the homomorphisms of g extending a pinning of
-    the sorted vertex list `pinned`.
+    the sorted vertex list `pinned`, per image of the unpinned vertices
+    in `free`.
 
     Unpinned vertices are assigned in search order; after each
     assignment the unassigned rest of a part splits into its connected
     components, whose counts multiply.  `parts` are the top-level
-    parts, `size` the number of memoized parts and `pin_edges` the
-    edges of g between pinned vertices, loops included."""
+    parts, `free` the free vertices in the order of the counter's keys,
+    `size` the number of memoized parts and `pin_edges` the edges of g
+    between pinned vertices, loops included."""
 
-    def __init__(self, g, pinned):
+    def __init__(self, g, pinned, free):
         order = _pinned_search_order(g, pinned)
         rank = {v: i for i, v in enumerate(order)}
         pinned_set = frozenset(pinned)
+        free = frozenset(free)
         self.pin_edges = [(u, w) for u in pinned for w in g.neighbors(u)
                           if w in pinned_set]
         self.size = 0
@@ -322,17 +293,23 @@ class _Plan:
                 self.size += 1
             # the first vertex in search order has an assigned neighbor
             p.vertex = v = comp[0]
-            p.anchors = tuple(w for w in g.neighbors(v) if w in assigned)
+            p.anchor, *p.anchors = (w for w in g.neighbors(v) if w in assigned)
             p.loop = g.has_edge(v, v)
             p.parts = split(comp[1:], assigned | {v})
+            p.free = ((v,) if v in free else ()) + _free_of(p.parts)
             return p
 
         self.parts = split(order, pinned_set)
+        self.free = _free_of(self.parts)
 
     def counter(self, neighbor_fn):
-        """count(pins): the number of homomorphisms extending the pin
-        dict, 0 when the pins miss an edge between pinned vertices.
+        """count(pins): {images of `free`: number of homomorphisms
+        extending the pin dict with them}, without zero counts; empty
+        when the pins miss an edge between pinned vertices.  The pin
+        dict is extended in place by the images tried.
 
+        Parts without free vertices are counted as integers; a part
+        with free vertices tries its candidates in sorted order.
         Memoized parts' counts are kept per image of their boundary,
         and target neighbor sets are cached, for the life of the
         counter."""
@@ -340,23 +317,31 @@ class _Plan:
         nbrs = _NeighborSets(neighbor_fn)
 
         def part_count(p, phi):
+            # an integer, or {images of p.free: count} where p.free is set
             if p.index is not None:
                 table = memo[p.index]
                 images = p.images(phi)
                 total = table.get(images)
                 if total is not None:
                     return total
-            anchors = p.anchors
-            cands = nbrs[phi[anchors[0]]]
-            for w in anchors[1:]:
+            cands = nbrs[phi[p.anchor]]
+            for w in p.anchors:
                 cands = cands & nbrs[phi[w]]
             if p.loop:
                 cands = [c for c in cands if c in nbrs[c]]
-            if not p.parts:
+            v = p.vertex
+            if p.free:
+                total = {}
+                own = p.free[0] == v
+                for c in sorted(cands):
+                    phi[v] = c
+                    for key, n in product(p.parts, phi,
+                                          (c,) if own else ()).items():
+                        total[key] = total.get(key, 0) + n
+            elif not p.parts:
                 total = len(cands)
             else:
                 total = 0
-                v = p.vertex
                 for c in cands:
                     phi[v] = c
                     prod = 1
@@ -369,17 +354,30 @@ class _Plan:
                 table[images] = total
             return total
 
+        def product(parts, phi, head):
+            # {head + images of the parts' free vertices: product of
+            # the parts' counts}
+            scalar = 1
+            tabled = []
+            for sub in parts:
+                if sub.free:
+                    tabled.append(sub)
+                else:
+                    scalar *= part_count(sub, phi)
+                    if not scalar:
+                        return {}
+            counts = {head: scalar}
+            for sub in tabled:
+                sub_counts = part_count(sub, phi)
+                counts = {a + b: x * y for a, x in counts.items()
+                          for b, y in sub_counts.items()}
+            return counts
+
         def count(pins):
             for u, w in self.pin_edges:
                 if pins[w] not in nbrs[pins[u]]:
-                    return 0
-            phi = dict(pins)
-            total = 1
-            for p in self.parts:
-                total *= part_count(p, phi)
-                if not total:
-                    break
-            return total
+                    return {}
+            return product(self.parts, pins, ())
 
         return count
 
@@ -387,61 +385,49 @@ class _Plan:
 def hom_matrix_windowed(k, p, rows, cols):
     """Windowed homomorphism matrix over a provider.
 
-    Every (row, col) pair with row in `rows` and col in `cols` gets its
-    exact count; pairs whose column falls outside `cols` are dropped.
-    Every component of the bi-labeled graph must have a label; a
-    pattern with one that has none raises ValidationError before any
-    tuple is scanned.  Where every label is pinned (x == y) the entries
-    come from a counting plan; otherwise homomorphisms are enumerated."""
+    The labels of one side (x, or y when there is none) are pinned to
+    each tuple of their window in turn, and one counting plan gives
+    every entry of that tuple: the count per image of the free output
+    labels.  Every (row, col) pair with row in `rows` and col in `cols`
+    gets its exact count; pairs whose other side falls outside its
+    window are dropped (all are kept when m == 0).  Every component of
+    the bi-labeled graph must have a label; a pattern with one that has
+    none raises ValidationError before any tuple is scanned."""
     if k.n + k.m == 0:
         raise ValidationError("windowed counting needs at least one label")
     if rows.arity != k.n or cols.arity != k.m:
         raise ValidationError("window arities do not match the labels")
-    g = k.graph
-    entries = {}
     if k.n >= 1:
         pin_labels, scan, out_labels = k.x, rows, k.y
+        out_window = cols if k.m else None
     else:
         pin_labels, scan, out_labels = k.y, cols, k.x
+        out_window = rows
     pinned = sorted(set(pin_labels))
-    if k.x == k.y:
-        # every label is pinned, so the count is the whole entry
-        count = _Plan(g, pinned).counter(p.neighbors)
-    else:
-        order = _pinned_search_order(g, pinned)
+    plan = _Plan(k.graph, pinned, set(out_labels) - set(pinned))
+    count = plan.counter(p.neighbors)
+    # an output label's image is read off the scanned tuple followed by
+    # the free images
+    known = pin_labels + plan.free
+    picks = [known.index(v) for v in out_labels]
+    same, row_first = k.x == k.y, k.n >= 1
+    # a repeated label must have one image: read the pins back
+    repeated = len(pinned) < len(pin_labels)
+    reread = itemgetter(*pin_labels)
+    entries = {}
     for t in scan.tuples:
-        pins = {}
-        ok = True
-        for v, img in zip(pin_labels, t):
-            if v in pins and pins[v] != img:
-                ok = False
-                break
-            pins[v] = img
-        if not ok:
+        pins = dict(zip(pin_labels, t))
+        if repeated and reread(pins) != t:
             continue
-        if k.x == k.y:
-            if t in cols:
-                c = count(pins)
-                if c:
-                    entries[(t, t)] = c
-            continue
-
-        def visit(phi, t=t):
-            other = tuple(phi[v] for v in out_labels)
-            if k.n >= 1:
-                if k.m == 0 or other in cols:
-                    key = (t, other)
-                else:
-                    return
+        for images, c in count(pins).items():
+            if same:
+                other = t
             else:
-                key = (other, t)
-                if other not in rows:
-                    return
-            entries[key] = entries.get(key, 0) + 1
-
-        _enumerate_homs(g, order, p.neighbors, None, pins, visit)
-    return HomMatrix(k, entries, row_window=rows, col_window=cols,
-                     complete=False)
+                both = t + images
+                other = tuple(both[i] for i in picks)
+            if out_window is None or other in out_window:
+                entries[(t, other) if row_first else (other, t)] = c
+    return HomMatrix(entries)
 
 
 def partial_trace(entries, side):

@@ -487,7 +487,7 @@ def rel_tensor(a, b):
     return out
 
 
-def s_map(a, n):
+def s_map(a):
     """Fold a square matrix at arity (n, n) into a column at (2n, 0):
     entry at row (i0..i2n) is a[(i0..in), (i2n..in)] when i0 == i2n."""
     out = {}
@@ -498,7 +498,7 @@ def s_map(a, n):
     return out
 
 
-def t_map(a, n):
+def t_map(a):
     """The companion fold: entry at (i0..i2n) is a[(in..i2n), (in..i0)]
     when i0 == i2n (reading the matrix from the middle outwards)."""
     out = {}
@@ -880,12 +880,12 @@ def _float_orbit_constant(trace, orbits, v0, tol):
     return r
 
 
-def conjugate_solutions(p, graph=None, tol=1e-9):
+def conjugate_solutions(p):
     """Column solutions of the duality equations attached to a minimal
     projection at a square arity, with the zigzag and trace checks."""
     n = p.arity
-    s = s_map(p.matrix, n)
-    t = t_map(p.matrix, n)
+    s = s_map(p.matrix)
+    t = t_map(p.matrix)
     zig_l = _zigzag(s, t, n)
     zig_r = _zigzag(t, s, n)
     res_l = _mat_residual(zig_l, p.matrix)
@@ -941,8 +941,7 @@ def _fold_trace(col, pmat, n, side):
     return out
 
 
-def mu_assignment(target, category="planar", window=None, e=None,
-                  tol=0):
+def mu_assignment(target, category="planar", window=None, e=None):
     """Vertex weight from edge-atom dimension ratios, normalized at e.
 
     Each minimal edge atom of the pair-function span has a left and a
@@ -1426,7 +1425,7 @@ class ColumnLadder:
         shape[t] = self.q
         return arr * f.reshape(shape)
 
-    def _cap(self, arr, M, p):
+    def _cap(self, arr, p):
         return arr.sum(axis=p, dtype=self.np.int64)
 
     def _merge(self, arr, M, p):
@@ -1500,7 +1499,7 @@ class ColumnLadder:
                             emit(M + 1, self._dup, arr, M, p)
                     if M >= 2:
                         for p in range(1, M):
-                            emit(M - 1, self._cap, arr, M, p)
+                            emit(M - 1, self._cap, arr, p)
                         for p in range(M - 1, M):
                             emit(M - 1, self._merge, arr, M, p)
                         for p in range(1, M - 1):

@@ -73,9 +73,12 @@ def pointed_patterns(depth):
 def pointed_hom_count(pattern, x, target, i):
     """Count of homomorphisms of the pattern pinning the basepoint.
 
-    Exact backtracking count; used to make witnesses reproducible
-    independently of the vectorized signature computation."""
-    hm = hom_matrix(BiLabeled(pattern, (x,), ()), target)
+    Exact count read off the homomorphism rows (`hommat.hom_matrix`),
+    not off the dense pattern tensors; used to make witnesses
+    reproducible independently of the signature computation.  Raises
+    BudgetExceeded when the rows would exceed SIGNATURE_BUDGET_BYTES."""
+    hm = hom_matrix(BiLabeled(pattern, (x,), ()), target,
+                    SIGNATURE_BUDGET_BYTES)
     return hm.entries.get(((i,), ()), 0)
 
 
@@ -232,7 +235,7 @@ def _labelled_patterns(max_vertices, arity):
 def _relation_data(patterns, g):
     rows = []
     for blg in patterns:
-        hm = hom_matrix(blg, g)
+        hm = hom_matrix(blg, g, SIGNATURE_BUDGET_BYTES)
         rows.append(hm.entries)
     return rows
 

@@ -17,6 +17,7 @@ from qgs import algebra, bilabeled as B, graphs as G, hommat as H
 from qgs import morspace as ms
 from qgs import quantiso, quantization
 from qgs.graphs import FiniteGraph, classical_aut, cycle_graph, path_graph
+from qgs.quantiso import SIGNATURE_BUDGET_BYTES
 from qgs.ratmat import RatSpan
 
 
@@ -48,10 +49,11 @@ def test_criterion_1_functoriality():
         tgt = random_connected(rng, 1, 7)
         k1 = random_blg(rng)
         k2 = random_blg(rng)
-        h1 = H.hom_matrix(k1, tgt)
-        h2 = H.hom_matrix(k2, tgt)
+        h1 = H.hom_matrix(k1, tgt, SIGNATURE_BUDGET_BYTES)
+        h2 = H.hom_matrix(k2, tgt, SIGNATURE_BUDGET_BYTES)
         if k1.m == k2.n:
-            whole = H.hom_matrix(B.compose(k1, k2), tgt)
+            whole = H.hom_matrix(B.compose(k1, k2), tgt,
+                                 SIGNATURE_BUDGET_BYTES)
             prod = {}
             by_row = {}
             for (h, j), v in h2.entries.items():
@@ -60,15 +62,15 @@ def test_criterion_1_functoriality():
                 for (j, w) in by_row.get(h, []):
                     prod[(i, j)] = prod.get((i, j), 0) + v * w
             assert whole.entries == {k: v for k, v in prod.items() if v}
-        tens = H.hom_matrix(B.tensor(k1, k2), tgt)
+        tens = H.hom_matrix(B.tensor(k1, k2), tgt, SIGNATURE_BUDGET_BYTES)
         expect = {}
         for (i1, j1), v1 in h1.entries.items():
             for (i2, j2), v2 in h2.entries.items():
                 expect[(i1 + i2, j1 + j2)] = v1 * v2
         assert tens.entries == expect
-        ht = H.hom_matrix(B.transpose(k1), tgt)
+        ht = H.hom_matrix(B.transpose(k1), tgt, SIGNATURE_BUDGET_BYTES)
         assert ht.entries == {(j, i): v for (i, j), v in h1.entries.items()}
-        hr = H.hom_matrix(B.tilde(k1), tgt)
+        hr = H.hom_matrix(B.tilde(k1), tgt, SIGNATURE_BUDGET_BYTES)
         assert hr.entries == {(tuple(reversed(j)), tuple(reversed(i))): v
                               for (i, j), v in h1.entries.items()}
         cases += 1
@@ -288,7 +290,8 @@ def test_criterion_7_planar_iso():
         v21 = quantiso.planar_iso_test(g2, g1, depth=6)
         assert v12.status == "distinguished" == v21.status
         w = v12.witness
-        # the witness counts are reproducible by independent backtracking
+        # the witness counts are reproduced from the homomorphism rows,
+        # independently of the signature tensors
         for g, orbit, count in ((g1, w["orbit1"], w["count1"]),
                                 (g2, w["orbit2"], w["count2"])):
             for v in orbit:

@@ -369,7 +369,7 @@ def test_provider_rejected():
 
 def test_word_length_guard():
     hs = haar_system(complete_graph(3))
-    long_i = tuple(0 for _ in range(hs.max_word + 2))
+    long_i = tuple(0 for _ in range(hs.max_level))
     with pytest.raises(ValidationError):
         hs.phi_e(word(long_i, long_i), 0)
 

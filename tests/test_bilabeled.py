@@ -7,6 +7,7 @@ import pytest
 from qgs import bilabeled as B
 from qgs import hommat as H
 from qgs.graphs import FiniteGraph, ValidationError, cycle_graph
+from qgs.quantiso import SIGNATURE_BUDGET_BYTES
 
 
 def random_blg(rng, max_v=4, max_lab=3):
@@ -44,7 +45,7 @@ def test_compose_arity_mismatch():
 def test_compose_adjacency_squared_on_c4():
     a = B.adjacency_gadget()
     aa = B.compose(a, a)
-    hm = H.hom_matrix(aa, cycle_graph(4))
+    hm = H.hom_matrix(aa, cycle_graph(4), SIGNATURE_BUDGET_BYTES)
     for i in range(4):
         for j in range(4):
             expected = 2 if (i - j) % 2 == 0 else 0
@@ -111,7 +112,7 @@ def test_relative_tensor_single_vertex():
     k = B.relative_tensor(one, one)
     assert k.graph.vertex_count == 1
     assert k.x == (0, 0, 0) and k.y == (0, 0, 0)
-    hm = H.hom_matrix(k, cycle_graph(4))
+    hm = H.hom_matrix(k, cycle_graph(4), SIGNATURE_BUDGET_BYTES)
     for i0 in range(4):
         for i1 in range(4):
             assert hm.entry((i0,) * 3, (i1,) * 3) == (1 if i0 == i1 else 0)
@@ -133,7 +134,7 @@ def test_relative_tensor_concatenates_paths():
     assert B.canonical_key(p2) == B.canonical_key(
         B.distance_diag_gadget((1, 1)))
     c4 = cycle_graph(4)
-    got = H.hom_matrix(p2, c4)
+    got = H.hom_matrix(p2, c4, SIGNATURE_BUDGET_BYTES)
     # diagonal indicator of walks i0 - i1 - i2
     for i0 in range(4):
         for i1 in range(4):
@@ -177,14 +178,15 @@ def test_connectedness_preserved_by_relative_tensor():
 
 
 def test_m20_diagonal_indicator():
-    hm = H.hom_matrix(B.m_gadget(2, 0), cycle_graph(4))
+    hm = H.hom_matrix(B.m_gadget(2, 0), cycle_graph(4), SIGNATURE_BUDGET_BYTES)
     for i in range(4):
         for j in range(4):
             assert hm.entry((i, j), ()) == (1 if i == j else 0)
 
 
 def test_distance_diag_gadget_on_c4():
-    hm = H.hom_matrix(B.distance_diag_gadget((2,)), cycle_graph(4))
+    hm = H.hom_matrix(B.distance_diag_gadget((2,)), cycle_graph(4),
+                      SIGNATURE_BUDGET_BYTES)
     # paths of length 2 between i and j in C4
     for i in range(4):
         for j in range(4):
@@ -194,7 +196,7 @@ def test_distance_diag_gadget_on_c4():
 
 def test_circular_gadget_triangle():
     k3 = FiniteGraph(3, [(0, 1), (1, 2), (0, 2)])
-    hm = H.hom_matrix(B.circular_gadget(3), k3)
+    hm = H.hom_matrix(B.circular_gadget(3), k3, SIGNATURE_BUDGET_BYTES)
     # closed walks of length 3 around the triangle through a fixed base: 2
     for i in range(3):
         vals = [v for (r, c), v in hm.entries.items() if c == (i,)]
@@ -211,7 +213,7 @@ def test_s_gadget_indicator():
     # matrix entry ((i0..i2n), j) is 1 iff i is a palindrome walkable
     # pattern with i0 = i2n = j and middle identifications
     s1 = B.s_gadget(1)
-    hm = H.hom_matrix(s1, cycle_graph(4))
+    hm = H.hom_matrix(s1, cycle_graph(4), SIGNATURE_BUDGET_BYTES)
     for i0 in range(4):
         for i1 in range(4):
             for i2 in range(4):

@@ -101,6 +101,29 @@ def test_haar_check_passes(files, capsys):
     assert all(v < 1e-9 for v in doc["residuals"].values())
     assert doc["unimodular"] is True
     assert doc["quantum_symmetry"] is False
+    # depth 5: words of length 1 on the ladder's level 6
+    assert (doc["max_word_length"], doc["level"]) == (1, 6)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dims", "--depth", "-1"], "--depth of dims must be 0, 1 or 2"),
+    (["dims", "--depth", "3"], "--depth of dims must be 0, 1 or 2"),
+    (["haar-check", "--depth", "0"], "--depth of haar-check must be at "
+                                     "least 5"),
+    (["haar-check", "--depth", "4"], "--depth of haar-check must be at "
+                                     "least 5")])
+def test_depth_out_of_range(files, capsys, monkeypatch, argv, message):
+    # rejected before any engine runs
+    from qgs import algebra, morspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(morspace, "generate_mor", refuse)
+    monkeypatch.setattr(algebra, "haar_system", refuse)
+    code, doc, err = run(capsys, argv + ["--graph", files["k4"]])
+    assert code == 1 and doc is None
+    assert message in err
 
 
 def check_ladder_entry_bound(files, capsys, monkeypatch, name, bound,

@@ -3,7 +3,7 @@
 On a finite graph the engine reads its bases off the coherent closure of
 its seeds: the indicators of the pair atoms and of the diagonal atoms.
 These tests compare the atoms with a reference refinement over dicts of
-seeds counted by backtracking, and their span with a reference closure
+seeds counted by `hom_matrix`, and their span with a reference closure
 of the seeds over `RatSpan`, both kept here as oracles; they freeze the
 atom counts of the benchmark and test graphs and the orbits of a
 60-vertex graph, and check that everything the engine and its minimal
@@ -19,7 +19,7 @@ import qgs.morspace as ms
 from qgs.bilabeled import BiLabeled
 from qgs.graphs import FiniteGraph
 from qgs.hommat import hom_matrix
-from qgs.quantiso import planar_patterns
+from qgs.quantiso import SIGNATURE_BUDGET_BYTES, planar_patterns
 from qgs.ratmat import RatSpan
 
 
@@ -39,7 +39,8 @@ def seeds(g):
     f0, f1 = [], [{(u, u): 1 for u in range(g.vertex_count)}]
     for pat in planar_patterns(ms.GADGET_VERTICES):
         for x1, x2 in itertools.product(range(pat.vertex_count), repeat=2):
-            hm = hom_matrix(BiLabeled(pat, (x1, x2), (x1, x2)), g)
+            hm = hom_matrix(BiLabeled(pat, (x1, x2), (x1, x2)), g,
+                            SIGNATURE_BUDGET_BYTES)
             fn = {i: c for (i, _j), c in hm.entries.items()}
             f1.append(fn)
             if x1 == x2:

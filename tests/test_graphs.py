@@ -26,10 +26,9 @@ def test_parse_graph_file_errors():
 def test_ball_tree_counts():
     p = G.tree_provider(3)
     b0 = G.ball(p, p.base_vertex, 0)
-    assert b0.graph.vertex_count == 1
-    assert b0.graph.undirected_edges() == []
+    assert b0.keys == [p.base_vertex]
     b2 = G.ball(p, p.base_vertex, 2)
-    assert b2.graph.vertex_count == 10  # 1 + 3 + 6
+    assert len(b2.keys) == 10  # 1 + 3 + 6
 
 
 def test_ball_monotone_consistency():
@@ -108,13 +107,13 @@ def test_cayley_z_line():
     p = G.cayley_graph(G.integers_group())
     assert p.degree(p.base_vertex) == 2
     b = G.ball(p, p.base_vertex, 4)
-    assert b.graph.vertex_count == 9
+    assert len(b.keys) == 9
 
 
 def test_cayley_infinite_dihedral_line():
     p = G.cayley_graph(G.free_product_cyclic_group([2, 2]))
     b = G.ball(p, p.base_vertex, 4)
-    assert b.graph.vertex_count == 9
+    assert len(b.keys) == 9
     assert all(p.degree(v) == 2 for v in b.keys)
 
 
@@ -122,14 +121,14 @@ def test_cayley_free_group_tree():
     p = G.cayley_graph(G.free_group(2))
     assert p.degree(p.base_vertex) == 4
     b = G.ball(p, p.base_vertex, 2)
-    assert b.graph.vertex_count == 1 + 4 + 12
+    assert len(b.keys) == 1 + 4 + 12
 
 
 def test_cayley_finite_group_order():
     spec = G.cyclic_group(6)
     p = G.cayley_graph(spec)
     b = G.ball(p, p.base_vertex, 6)
-    assert b.graph.vertex_count == 6
+    assert len(b.keys) == 6
 
 
 def test_cayley_rejects_identity_generator():
@@ -143,7 +142,7 @@ def test_free_product_z2_cubed_tree():
     p = G.cayley_graph(G.free_product_cyclic_group([2, 2, 2]))
     assert p.degree(p.base_vertex) == 3
     b = G.ball(p, p.base_vertex, 2)
-    assert b.graph.vertex_count == 1 + 3 + 6
+    assert len(b.keys) == 1 + 3 + 6
 
 
 def test_grandparent_regularity():
@@ -157,7 +156,7 @@ def test_grandparent_regularity():
 def test_grandparent_radius1_ball():
     p = G.grandparent_graph(3)
     b = G.ball(p, p.base_vertex, 1)
-    assert b.graph.vertex_count == 9
+    assert len(b.keys) == 9
 
 
 def test_grandparent_edge_classes():
@@ -176,7 +175,7 @@ def test_product_graph_degree():
     fibers = lambda v: G.FiniteGraph(2, [])
     p = G.product_graph(base, fibers)
     b = G.ball(p, p.base_vertex, 4)
-    assert b.graph.vertex_count == 8
+    assert len(b.keys) == 8
     assert all(p.degree(v) == 4 for v in b.keys)
 
 
@@ -184,7 +183,7 @@ def test_product_graph_trivial_fiber():
     base = G.tree_provider(3)
     p = G.product_graph(base, lambda v: G.FiniteGraph(1, []))
     b = G.ball(p, p.base_vertex, 2)
-    assert b.graph.vertex_count == 10
+    assert len(b.keys) == 10
     assert all(p.degree(v) == 3 for v in b.keys)
 
 

@@ -44,7 +44,7 @@ def dense(hm, tgt, n, m):
 
 def test_degree_gadget_on_c4():
     k = B.BiLabeled(FiniteGraph(2, [(0, 1)]), (0,), (0,))
-    hm = H.hom_matrix(k, cycle_graph(4))
+    hm = H.hom_matrix(k, cycle_graph(4), SIGNATURE_BUDGET_BYTES)
     for i in range(4):
         for j in range(4):
             assert hm.entry((i,), (j,)) == (2 if i == j else 0)
@@ -52,15 +52,16 @@ def test_degree_gadget_on_c4():
 
 def test_triangle_on_c5_zero():
     tri = B.BiLabeled(FiniteGraph(3, [(0, 1), (1, 2), (0, 2)]), (0,), (0,))
-    hm = H.hom_matrix(tri, cycle_graph(5))
+    hm = H.hom_matrix(tri, cycle_graph(5), SIGNATURE_BUDGET_BYTES)
     assert hm.entries == {}
 
 
 def test_loop_in_k_needs_loop_in_target():
     k = B.BiLabeled(FiniteGraph(1, [(0, 0)]), (0,), (0,))
-    assert H.hom_matrix(k, cycle_graph(4)).entries == {}
+    assert H.hom_matrix(k, cycle_graph(4),
+                        SIGNATURE_BUDGET_BYTES).entries == {}
     loopy = FiniteGraph(2, [(0, 0), (0, 1)])
-    hm = H.hom_matrix(k, loopy)
+    hm = H.hom_matrix(k, loopy, SIGNATURE_BUDGET_BYTES)
     assert hm.entry((0,), (0,)) == 1 and hm.entry((1,), (1,)) == 0
 
 
@@ -73,14 +74,44 @@ def test_functoriality_random_cases():
         k2 = random_blg(rng, max_v=3, max_lab=2)
         if k1.m != k2.n:
             continue
-        t1 = dense(H.hom_matrix(k1, tgt), tgt, k1.n, k1.m)
-        t2 = dense(H.hom_matrix(k2, tgt), tgt, k2.n, k2.m)
-        t12 = dense(H.hom_matrix(B.compose(k1, k2), tgt), tgt, k1.n, k2.m)
+        t1 = dense(H.hom_matrix(k1, tgt, SIGNATURE_BUDGET_BYTES), tgt,
+                   k1.n, k1.m)
+        t2 = dense(H.hom_matrix(k2, tgt, SIGNATURE_BUDGET_BYTES), tgt,
+                   k2.n, k2.m)
+        t12 = dense(H.hom_matrix(B.compose(k1, k2), tgt,
+                                 SIGNATURE_BUDGET_BYTES), tgt, k1.n, k2.m)
         mids = H.all_tuples_window(tgt.vertex_count, k1.m).tuples
         for i in t1:
             for j in t12[i]:
                 assert t12[i][j] == sum(t1[i][h] * t2[h][j] for h in mids)
         done += 1
+
+
+def test_finite_entries_in_search_order():
+    # entries come in the order of their first homomorphism, the maps
+    # ordered lexicographically by their images along the search order
+    rng = random.Random(5)
+    for _ in range(80):
+        tgt = random_target(rng, max_v=5)
+        tgt = FiniteGraph(tgt.vertex_count, tgt.undirected_edges() + [
+            (v, v) for v in range(tgt.vertex_count) if rng.random() < 0.3])
+        k = random_blg(rng, max_v=4, max_lab=3)
+        g = k.graph
+        g = FiniteGraph(g.vertex_count, g.undirected_edges() + [
+            (v, v) for v in range(g.vertex_count) if rng.random() < 0.2])
+        k = B.BiLabeled(g, k.x, k.y)
+        order = H._search_order(g, [])
+        want = {}
+        for images in itertools.product(range(tgt.vertex_count),
+                                        repeat=len(order)):
+            phi = dict(zip(order, images))
+            if all(tgt.has_edge(phi[u], phi[v])
+                   for u, v in g.undirected_edges()):
+                key = (tuple(phi[v] for v in k.x),
+                       tuple(phi[v] for v in k.y))
+                want[key] = want.get(key, 0) + 1
+        hm = H.hom_matrix(k, tgt, SIGNATURE_BUDGET_BYTES)
+        assert list(hm.entries.items()) == list(want.items())
 
 
 @st.composite
@@ -101,10 +132,11 @@ def test_pinned_pair_counts_match_backtracking(g):
     for pat in planar_patterns(4):
         counts = H.pinned_pair_counts(pat, g, SIGNATURE_BUDGET_BYTES)
         for x1, x2 in itertools.product(range(pat.vertex_count), repeat=2):
-            hm = H.hom_matrix(B.BiLabeled(pat, (x1, x2), (x1, x2)), g)
             want = [0] * (q * q)
-            for ((i, j), _col), c in hm.entries.items():
-                want[i * q + j] = c
+            for i, j in itertools.product(range(q), repeat=2):
+                if x1 != x2 or i == j:
+                    want[i * q + j] = oracle_count(pat, {x1: i, x2: j},
+                                                   g.neighbors)
             assert counts[x1, x2].tolist() == want
 
 
@@ -117,7 +149,8 @@ def test_hom_rows_follow_looped_pattern_vertices(looped):
     rows = sorted(map(tuple, H.hom_rows(pattern, target, 1 << 20).tolist()))
     assert rows == sorted(tuple(reversed(r)) if looped else r
                           for r in [(0, 0), (0, 1), (2, 1), (2, 2)])
-    hm = H.hom_matrix(B.BiLabeled(pattern, (0, 1), ()), target)
+    hm = H.hom_matrix(B.BiLabeled(pattern, (0, 1), ()), target,
+                      SIGNATURE_BUDGET_BYTES)
     assert rows == sorted(i for (i, _j) in hm.entries)
 
 
@@ -139,13 +172,13 @@ def test_tensor_and_transpose_functoriality():
         tgt = random_target(rng, max_v=4)
         k1 = random_blg(rng, max_v=3, max_lab=2)
         k2 = random_blg(rng, max_v=3, max_lab=2)
-        hm1 = H.hom_matrix(k1, tgt)
-        hm2 = H.hom_matrix(k2, tgt)
-        hm = H.hom_matrix(B.tensor(k1, k2), tgt)
+        hm1 = H.hom_matrix(k1, tgt, SIGNATURE_BUDGET_BYTES)
+        hm2 = H.hom_matrix(k2, tgt, SIGNATURE_BUDGET_BYTES)
+        hm = H.hom_matrix(B.tensor(k1, k2), tgt, SIGNATURE_BUDGET_BYTES)
         for (i1, j1), v1 in hm1.entries.items():
             for (i2, j2), v2 in hm2.entries.items():
                 assert hm.entry(i1 + i2, j1 + j2) == v1 * v2
-        hmt = H.hom_matrix(B.transpose(k1), tgt)
+        hmt = H.hom_matrix(B.transpose(k1), tgt, SIGNATURE_BUDGET_BYTES)
         assert hmt.entries == {(j, i): v for (i, j), v in hm1.entries.items()}
 
 
@@ -154,8 +187,8 @@ def test_tilde_reverses_indices():
     for _ in range(60):
         tgt = random_target(rng, max_v=4)
         k = random_blg(rng, max_v=3, max_lab=2)
-        hm = H.hom_matrix(k, tgt)
-        hmt = H.hom_matrix(B.tilde(k), tgt)
+        hm = H.hom_matrix(k, tgt, SIGNATURE_BUDGET_BYTES)
+        hmt = H.hom_matrix(B.tilde(k), tgt, SIGNATURE_BUDGET_BYTES)
         flipped = {(tuple(reversed(j)), tuple(reversed(i))): v
                    for (i, j), v in hm.entries.items()}
         assert hmt.entries == flipped
@@ -182,7 +215,7 @@ def test_windowed_matches_full_on_finite():
                 tuple(map(str, t)) for t in
                 H.all_tuples_window(tgt.vertex_count, blg.m).tuples])
             wm = H.hom_matrix_windowed(blg, p, rows, cols)
-            fm = H.hom_matrix(blg, tgt)
+            fm = H.hom_matrix(blg, tgt, SIGNATURE_BUDGET_BYTES)
             translated = {(tuple(map(str, i)), tuple(map(str, j))): v
                           for (i, j), v in fm.entries.items()}
             assert wm.entries == translated
@@ -278,28 +311,45 @@ def random_pattern(rng, max_v, loops):
 
 def check_plan_counts(rng, p, verts, cases, max_v, tuples_per_case,
                       loops=0.0):
+    """hom_matrix_windowed against oracle_count with every label pinned,
+    at each pair of a row and a column tuple.  A third of the cases have
+    x == y (every label pinned, entries in row order); the others draw
+    x and y apart, so either may be empty and labels repeat within and
+    across the sides."""
     for _ in range(cases):
         g = random_pattern(rng, max_v, loops)
-        x = tuple(rng.randrange(g.vertex_count)
-                  for _ in range(rng.randint(1, 3)))
-        k = B.BiLabeled(g, x, x)
-        window = H.TupleWindow(len(x), sorted({
-            tuple(rng.choice(verts) for _ in x)
-            for _ in range(tuples_per_case)}))
-        hm = H.hom_matrix_windowed(k, p, window, window)
+
+        def labels():
+            return tuple(rng.randrange(g.vertex_count)
+                         for _ in range(rng.randint(0, 3)))
+
+        def window(arity, size):
+            return H.TupleWindow(arity, sorted({
+                tuple(rng.choice(verts) for _ in range(arity))
+                for _ in range(size)}))
+
+        x = labels()
+        y = x if rng.random() < 1 / 3 else labels()
+        if not x and not y:
+            continue
+        rows = window(len(x), tuples_per_case)
+        cols = rows if x == y else window(len(y), 4 * tuples_per_case)
+        hm = H.hom_matrix_windowed(B.BiLabeled(g, x, y), p, rows, cols)
         want = {}
-        for t in window.tuples:
-            pins = {}
-            for v, img in zip(x, t):
-                pins.setdefault(v, img)
-            if all(pins[v] == img for v, img in zip(x, t)):
-                c = oracle_count(g, pins, p.neighbors)
-                if c:
-                    want[(t, t)] = c
+        for i in rows.tuples:
+            for j in cols.tuples:
+                pins = {}
+                for v, img in zip(x + y, i + j):
+                    pins.setdefault(v, img)
+                if all(pins[v] == img for v, img in zip(x + y, i + j)):
+                    c = oracle_count(g, pins, p.neighbors)
+                    if c:
+                        want[(i, j)] = c
         assert hm.entries == want
-        assert list(hm.entries) == [key for key in
-                                    ((t, t) for t in window.tuples)
-                                    if key in want]
+        if x == y:
+            assert list(hm.entries) == [key for key in
+                                        ((t, t) for t in rows.tuples)
+                                        if key in want]
 
 
 def test_plan_counts_match_backtracking_on_finite_providers():
@@ -409,7 +459,7 @@ def test_chained_square_count_is_matrix_square():
 
 
 def test_chained_square_plan_splits():
-    plan = H._Plan(M._double_square_diag_graph(), [0, 4])
+    plan = H._Plan(M._double_square_diag_graph(), [0, 4], ())
 
     def splits(parts):
         return any(len(p.parts) >= 2 or splits(p.parts) for p in parts)
@@ -419,7 +469,7 @@ def test_chained_square_plan_splits():
 
 def test_partial_trace_adjacency_c4():
     a = B.adjacency_gadget()
-    hm = H.hom_matrix(a, cycle_graph(4))
+    hm = H.hom_matrix(a, cycle_graph(4), SIGNATURE_BUDGET_BYTES)
     entries = {((i,), (j,)): v for ((i,), (j,)), v in
                [(key, val) for key, val in hm.entries.items()]}
     left = H.partial_trace(hm.entries, "left")
@@ -463,6 +513,8 @@ def test_partial_trace_bad_side():
 
 
 def test_export_triplets():
-    hm = H.hom_matrix(B.m_gadget(2, 0), path_graph(2))
+    hm = H.hom_matrix(B.m_gadget(2, 0), path_graph(2),
+                      SIGNATURE_BUDGET_BYTES)
     trips = H.export_triplets(hm)
     assert trips == [([0, 0], [], 1), ([1, 1], [], 1)]
+

@@ -10,6 +10,7 @@ from qgs.graphs import (BudgetExceeded, FiniteGraph, ValidationError,
 import qgs.morspace as ms
 import qgs.hommat as hm
 from qgs.bilabeled import BiLabeled
+from qgs.quantiso import SIGNATURE_BUDGET_BYTES
 
 
 def c4():
@@ -297,7 +298,8 @@ def test_edge_substitute_with_adjacency_recovers_pattern_counts():
     assign = {e: adj for e in k.undirected_edges()}
     got = ms.edge_substitute(k, 0, 1, assign, g)
     ref = {i: c for (i, _j), c in
-           hm.hom_matrix(BiLabeled(k, (0, 1), (0, 1)), g).entries.items()}
+           hm.hom_matrix(BiLabeled(k, (0, 1), (0, 1)), g,
+                         SIGNATURE_BUDGET_BYTES).entries.items()}
     assert got == ref
 
 
@@ -429,7 +431,7 @@ def test_ladder_operations_on_int32_levels_do_not_wrap():
     assert np.array_equal(lad._wedge(big, 2, big, 2),
                           loop_wedge(wide, 2, wide, 2, q))
     assert int(lad._wedge(big, 2, big, 2).max()) == top * top
-    assert np.array_equal(lad._cap(big, 2, 1), np.full(q, q * top))
+    assert np.array_equal(lad._cap(big, 1), np.full(q, q * top))
     assert np.array_equal(lad._scale_edge(big, 2, 0, wide),
                           np.full((q, q), top * top))
 

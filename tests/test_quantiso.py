@@ -83,8 +83,8 @@ def connected_graphs(draw, max_vertices=6):
 @given(connected_graphs())
 @example(cycle_graph(5))
 def test_signatures_match_brute_force(g):
-    # coordinate k of the vectorized signature is the backtracking count
-    # of the k-th pointed pattern
+    # coordinate k of the tensor signature is the count of the k-th
+    # pointed pattern read off its homomorphism rows
     sigs = count_signatures(g, 4)
     pointed = pointed_patterns(4)
     for v in range(g.vertex_count):
@@ -116,7 +116,7 @@ def test_degree_distinguished_with_witness():
     verdict = planar_iso_test(cycle_graph(4), path_graph(4), depth=4)
     assert verdict.status == "distinguished"
     w = verdict.witness
-    # the witness counts are reproducible by the backtracking counter
+    # the witness counts are reproducible from the homomorphism rows
     i = w["orbit1"][0] if w["orbit1"] else None
     j = w["orbit2"][0] if w["orbit2"] else None
     if i is not None:
