@@ -18,9 +18,10 @@ left Haar functional ``phi_e``; composing with the antipode gives the
 right Haar functional ``psi_e``, and the modular element acts by
 vertex-weight ratios.
 
-Two routes compute the kernel.  The Gram route projects onto the span
-generated by the column ladder: per basepoint orbit, the level's basis
-is cut to the orbit and a Gram matrix of the cut is inverted.  The orbit
+Two routes compute the kernel, on one tuple per Aut(G)-orbit, since
+invariant loop functions are Aut-invariant.  The Gram route projects
+onto the span generated by the column ladder: per basepoint orbit, an
+orbit-weighted Gram matrix of the level's basis is inverted.  The orbit
 route serves graphs that `morspace.classical_certificate` certifies, and
 builds no ladder.  Let u be the fundamental representation of the
 quantum group whose intertwiners the category generates (QAut(G) for
@@ -114,110 +115,111 @@ def counit(x):
 # out[r, w] = sum_s sum_c K[rows[s, r], cols[w, c]] * weights[c].
 
 
+def _orbit_table(least, members, q):
+    """The Aut-orbits of loop tuples based in the vertex orbit a
+    (`members`), from the least images of their level: (index, reps,
+    per_base).  `index` numbers the orbit of every flat tuple, -1 where
+    its basepoint is outside a; `reps` holds each orbit's least tuple,
+    and `per_base` its tuples at one basepoint, |O| / |a|."""
+    based = np.repeat(np.isin(np.arange(q), members), len(least) // q)
+    reps = np.flatnonzero((least == np.arange(len(least))) & based)
+    index = np.full(len(least), -1)
+    index[reps] = np.arange(len(reps))
+    index = index[least]
+    sizes = np.bincount(index[based], minlength=len(reps))
+    return index, reps, sizes / len(members)
+
+
 class _GramKernel:
     """Kernels of the projection onto the ladder's generated spans.
 
-    Rows of the level-M ladder basis are restricted to loops whose
-    basepoint lies in orbit a and re-reduced; the per-basepoint Gram
-    matrix of the restriction is asserted constant over the orbit and
-    inverted to produce the kernel of the orthogonal projection."""
+    The level-M ladder rows at the orbit representatives based in a are
+    re-reduced to a corner basis T.  Its Gram matrix at each basepoint,
+    T diag(the orbits' tuples there) T^T, must be constant over a, so it
+    is G = T diag(per_base) T^T; the kernel T^T G^-1 T is kept as two
+    factors with one row per orbit, and a zero row that index -1 reads."""
 
     def __init__(self, graph, category, max_level, orbits):
         self.q = graph.vertex_count
         self.orbits = orbits
         self.ladder = ColumnLadder(graph, category, max_level=max_level)
         # the untrusted top level is only needed while closing
-        del self.ladder.levels[max_level]
+        del self.ladder.levels[max_level], self.ladder.least[max_level]
         self._corners = {}
 
     def _corner(self, M, a):
-        key = (M, a)
-        if key in self._corners:
-            return self._corners[key]
-        members = sorted(self.orbits.classes[a])
-        # the cut keeps a union of Aut-orbits, so it is Aut-invariant and
-        # its values on the ladder's orbit representatives decide its rank
-        reps = self.ladder.reps[M]
+        if (M, a) in self._corners:
+            return self._corners[M, a]
+        index, reps, _per_base = _orbit_table(
+            self.ladder.least[M], self.orbits.classes[a], self.q)
         span = SpanModP(len(reps))
-        rows = []
-        for arr in self.ladder.basis(M):
-            cut = np.zeros_like(arr)
-            for v in members:
-                cut[v] = arr[v]
-            flat = cut.ravel()
-            if flat.any() and span.add(flat[reps]):
-                rows.append(flat)
+        rows = [vec for vec in (arr.ravel()[reps]
+                                for arr in self.ladder.basis(M))
+                if vec.any() and span.add(vec)]
         if not rows:
             raise ValidationError("empty corner at level %d" % M)
-        t = np.stack(rows)
-        block = self.q ** max(M - 1, 0)
-        grams = []
-        for v in members:
-            tv = t[:, v * block:(v + 1) * block].astype(np.float64)
-            grams.append(tv @ tv.T)
-        g = grams[0]
-        for other in grams[1:]:
-            if not np.array_equal(g, other):
-                raise ValidationError(
-                    "corner Gram matrix is not constant on the orbit")
-        tf = t.astype(np.float64)
-        # the kernel is tf.T @ solve(g, tf), kept factored (dense it has
-        # q^M rows and columns), with one row per loop tuple
-        data = (tf.T.copy(), np.linalg.solve(g, tf).T.copy())
-        self._corners[key] = data
-        return data
+        t = np.array(rows, dtype=np.float64)
+        # Grams at basepoints in one Aut-orbit agree: check the least
+        # basepoint of each Aut-orbit inside a
+        block = len(index) // self.q
+        grams = [(t * np.bincount(index[v * block:(v + 1) * block],
+                                  minlength=len(reps))) @ t.T
+                 for v in np.unique(reps // block)]
+        if any(not np.array_equal(grams[0], g) for g in grams[1:]):
+            raise ValidationError(
+                "corner Gram matrix is not constant on the orbit")
+        zero = np.zeros((1, len(rows)))
+        self._corners[M, a] = (index, np.vstack([t.T, zero]), np.vstack(
+            [np.linalg.solve(grams[0], t).T, zero]))
+        return self._corners[M, a]
 
     def values(self, M, a, p_idx, q_idx):
-        left, right = self._corner(M, a)
-        return np.einsum("nk,nk->n", left[p_idx], right[q_idx])
+        index, left, right = self._corner(M, a)
+        return np.einsum("nk,nk->n", left[index[p_idx]],
+                         right[index[q_idx]])
 
     def apply(self, M, a, rows, cols, weights):
-        left, right = self._corner(M, a)
+        index, left, right = self._corner(M, a)
         # the kernel is linear, so the sum over s is taken before the
         # product
-        return left[rows].sum(axis=0) @ (weights @ right[cols]).T
+        return (left[index[rows]].sum(axis=0)
+                @ (weights @ right[index[cols]]).T)
 
 
 class _OrbitKernel:
     """Kernels of the projection onto the Aut-invariants, from orbit
-    counts: K[p, q] = |a| / |O| when p and q lie in one Aut-orbit O of
-    loop tuples, else 0.  Orbits are named by their least flat index
-    (`least_images`), computed once per level."""
+    counts: K[p, q] = 1 / per_base = |a| / |O| when p and q lie in one
+    Aut-orbit O of loop tuples, else 0."""
 
     def __init__(self, auts, q, orbits):
         self.auts = auts
         self.q = q
         self.orbits = orbits
-        self._ids = {}
+        self._tables = {}
 
-    def _orbit_ids(self, M):
-        """(orbit id of each flat index, size of each orbit by id)."""
-        k = max(M, 1)
-        if k not in self._ids:
-            ids = least_images(self.auts, self.q, k)
-            self._ids[k] = (ids, np.bincount(ids, minlength=len(ids)))
-        return self._ids[k]
+    def _table(self, M, a):
+        # the orbit index of each flat tuple, and each orbit's kernel
+        # followed by the 0 that index -1 reads
+        if (M, a) not in self._tables:
+            index, _reps, per_base = _orbit_table(
+                least_images(self.auts, self.q, max(M, 1)),
+                self.orbits.classes[a], self.q)
+            self._tables[M, a] = index, np.append(1 / per_base, 0.0)
+        return self._tables[M, a]
 
     def values(self, M, a, p_idx, q_idx):
-        ids, size = self._orbit_ids(M)
-        p_ids = ids[p_idx]
-        scale = len(self.orbits.classes[a]) / size[p_ids]
-        return np.where(p_ids == ids[q_idx], scale, 0.0)
+        index, kern = self._table(M, a)
+        p_ids = index[p_idx]
+        return np.where(p_ids == index[q_idx], kern[p_ids], 0.0)
 
     def apply(self, M, a, rows, cols, weights):
-        ids, size = self._orbit_ids(M)
-        # per column w, the weight each orbit met by its columns carries
-        col_ids = ids[cols].ravel()
-        found, pos = np.unique(col_ids, return_inverse=True)
-        acc = np.zeros((len(found), cols.shape[0]))
-        np.add.at(acc, (pos, np.repeat(np.arange(cols.shape[0]),
-                                       cols.shape[1])),
-                  np.tile(weights, cols.shape[0]))
-        row_ids = ids[rows]
-        at = np.minimum(np.searchsorted(found, row_ids), len(found) - 1)
-        scale = np.where(found[at] == row_ids,
-                         len(self.orbits.classes[a]) / size[row_ids], 0.0)
-        return (acc[at] * scale[..., None]).sum(axis=0)
+        index, kern = self._table(M, a)
+        # per column w, the weight each orbit carries among its columns
+        acc = np.zeros((len(kern), cols.shape[0]))
+        np.add.at(acc, (index[cols], np.arange(cols.shape[0])[:, None]),
+                  weights)
+        row_ids = index[rows]
+        return (acc[row_ids] * kern[row_ids][..., None]).sum(axis=0)
 
 
 class HaarSystem:
@@ -798,8 +800,7 @@ _systems = {}
 
 
 def haar_system(graph, category="planar", max_level=7):
-    key = (graph.vertex_count, tuple(graph.undirected_edges()),
-           category, max_level)
+    key = (graph, category, max_level)
     if key not in _systems:
         _systems[key] = HaarSystem(graph, category, max_level)
     return _systems[key]

@@ -256,130 +256,133 @@ class _Plan:
 
     def __init__(self, g, pinned, free):
         order = _pinned_search_order(g, pinned)
-        rank = {v: i for i, v in enumerate(order)}
+        self.g, self.free_set = g, frozenset(free)
+        self.rank = {v: i for i, v in enumerate(order)}
         pinned_set = frozenset(pinned)
-        free = frozenset(free)
         self.pin_edges = [(u, w) for u in pinned for w in g.neighbors(u)
                           if w in pinned_set]
         self.size = 0
-
-        def split(vertices, assigned):
-            # one part per component of the vertices, in search order
-            left = set(vertices)
-            parts = []
-            for v in vertices:
-                if v not in left:
-                    continue
-                left.discard(v)
-                comp, todo = [v], [v]
-                while todo:
-                    for w in g.neighbors(todo.pop()):
-                        if w in left:
-                            left.discard(w)
-                            comp.append(w)
-                            todo.append(w)
-                comp.sort(key=rank.__getitem__)
-                parts.append(part(comp, assigned))
-            return tuple(parts)
-
-        def part(comp, assigned):
-            p = _Part()
-            boundary = sorted({w for u in comp for w in g.neighbors(u)
-                               if w in assigned})
-            p.images = itemgetter(*boundary)
-            p.index = None
-            if len(boundary) < len(assigned):
-                p.index = self.size
-                self.size += 1
-            # the first vertex in search order has an assigned neighbor
-            p.vertex = v = comp[0]
-            p.anchor, *p.anchors = (w for w in g.neighbors(v) if w in assigned)
-            p.loop = g.has_edge(v, v)
-            p.parts = split(comp[1:], assigned | {v})
-            p.free = ((v,) if v in free else ()) + _free_of(p.parts)
-            return p
-
-        self.parts = split(order, pinned_set)
+        self.parts = self._split(order, pinned_set)
         self.free = _free_of(self.parts)
 
-    def counter(self, neighbor_fn):
-        """count(pins): {images of `free`: number of homomorphisms
-        extending the pin dict with them}, without zero counts; empty
-        when the pins miss an edge between pinned vertices.  The pin
-        dict is extended in place by the images tried.
+    def _split(self, vertices, assigned):
+        # one part per component of the vertices, in search order
+        left = set(vertices)
+        parts = []
+        for v in vertices:
+            if v not in left:
+                continue
+            left.discard(v)
+            comp, todo = [v], [v]
+            while todo:
+                for w in self.g.neighbors(todo.pop()):
+                    if w in left:
+                        left.discard(w)
+                        comp.append(w)
+                        todo.append(w)
+            comp.sort(key=self.rank.__getitem__)
+            parts.append(self._part(comp, assigned))
+        return tuple(parts)
 
-        Parts without free vertices are counted as integers; a part
-        with free vertices tries its candidates in sorted order.
-        Memoized parts' counts are kept per image of their boundary,
-        and target neighbor sets are cached, for the life of the
-        counter."""
-        memo = [{} for _ in range(self.size)]
-        nbrs = _NeighborSets(neighbor_fn)
+    def _part(self, comp, assigned):
+        g = self.g
+        p = _Part()
+        boundary = sorted({w for u in comp for w in g.neighbors(u)
+                           if w in assigned})
+        p.images = itemgetter(*boundary)
+        p.index = None
+        if len(boundary) < len(assigned):
+            p.index = self.size
+            self.size += 1
+        # the first vertex in search order has an assigned neighbor
+        p.vertex = v = comp[0]
+        p.anchor, *p.anchors = (w for w in g.neighbors(v) if w in assigned)
+        p.loop = g.has_edge(v, v)
+        p.parts = self._split(comp[1:], assigned | {v})
+        p.free = ((v,) if v in self.free_set else ()) + _free_of(p.parts)
+        return p
 
-        def part_count(p, phi):
-            # an integer, or {images of p.free: count} where p.free is set
-            if p.index is not None:
-                table = memo[p.index]
-                images = p.images(phi)
-                total = table.get(images)
-                if total is not None:
-                    return total
-            cands = nbrs[phi[p.anchor]]
-            for w in p.anchors:
-                cands = cands & nbrs[phi[w]]
-            if p.loop:
-                cands = [c for c in cands if c in nbrs[c]]
-            v = p.vertex
-            if p.free:
-                total = {}
-                own = p.free[0] == v
-                for c in sorted(cands):
-                    phi[v] = c
-                    for key, n in product(p.parts, phi,
-                                          (c,) if own else ()).items():
-                        total[key] = total.get(key, 0) + n
-            elif not p.parts:
-                total = len(cands)
+
+class _Counter:
+    """count(pins): {images of the plan's `free`: number of
+    homomorphisms extending the pin dict with them}, without zero
+    counts; empty when the pins miss an edge between pinned vertices.
+    The pin dict is extended in place by the images tried.
+
+    Parts without free vertices are counted as integers; a part with
+    free vertices tries its candidates in sorted order.  Memoized parts'
+    counts are kept per image of their boundary, and target neighbor
+    sets are cached, for the life of the counter."""
+
+    def __init__(self, plan, neighbor_fn):
+        self.plan = plan
+        self.memo = [{} for _ in range(plan.size)]
+        self.nbrs = _NeighborSets(neighbor_fn)
+
+    def __call__(self, pins):
+        for u, w in self.plan.pin_edges:
+            if pins[w] not in self.nbrs[pins[u]]:
+                return {}
+        return self.product(self.plan.parts, pins, ())
+
+    def part_count(self, p, phi):
+        # an integer, or {images of p.free: count} where p.free is set
+        if p.index is not None:
+            table = self.memo[p.index]
+            images = p.images(phi)
+            total = table.get(images)
+            if total is not None:
+                return total
+        nbrs = self.nbrs
+        cands = nbrs[phi[p.anchor]]
+        for w in p.anchors:
+            cands = cands & nbrs[phi[w]]
+        if p.loop:
+            cands = [c for c in cands if c in nbrs[c]]
+        v = p.vertex
+        if p.free:
+            total = {}
+            own = p.free[0] == v
+            for c in sorted(cands):
+                phi[v] = c
+                for key, n in self.product(p.parts, phi,
+                                           (c,) if own else ()).items():
+                    total[key] = total.get(key, 0) + n
+        elif not p.parts:
+            total = len(cands)
+        else:
+            total = 0
+            part_count = self.part_count
+            for c in cands:
+                phi[v] = c
+                prod = 1
+                for sub in p.parts:
+                    prod *= part_count(sub, phi)
+                    if not prod:
+                        break
+                total += prod
+        if p.index is not None:
+            table[images] = total
+        return total
+
+    def product(self, parts, phi, head):
+        # {head + images of the parts' free vertices: product of the
+        # parts' counts}
+        scalar = 1
+        tabled = []
+        for sub in parts:
+            if sub.free:
+                tabled.append(sub)
             else:
-                total = 0
-                for c in cands:
-                    phi[v] = c
-                    prod = 1
-                    for sub in p.parts:
-                        prod *= part_count(sub, phi)
-                        if not prod:
-                            break
-                    total += prod
-            if p.index is not None:
-                table[images] = total
-            return total
-
-        def product(parts, phi, head):
-            # {head + images of the parts' free vertices: product of
-            # the parts' counts}
-            scalar = 1
-            tabled = []
-            for sub in parts:
-                if sub.free:
-                    tabled.append(sub)
-                else:
-                    scalar *= part_count(sub, phi)
-                    if not scalar:
-                        return {}
-            counts = {head: scalar}
-            for sub in tabled:
-                sub_counts = part_count(sub, phi)
-                counts = {a + b: x * y for a, x in counts.items()
-                          for b, y in sub_counts.items()}
-            return counts
-
-        def count(pins):
-            for u, w in self.pin_edges:
-                if pins[w] not in nbrs[pins[u]]:
+                scalar *= self.part_count(sub, phi)
+                if not scalar:
                     return {}
-            return product(self.parts, pins, ())
-
-        return count
+        counts = {head: scalar}
+        for sub in tabled:
+            sub_counts = self.part_count(sub, phi)
+            counts = {a + b: x * y for a, x in counts.items()
+                      for b, y in sub_counts.items()}
+        return counts
 
 
 def hom_matrix_windowed(k, p, rows, cols):
@@ -405,7 +408,7 @@ def hom_matrix_windowed(k, p, rows, cols):
         out_window = rows
     pinned = sorted(set(pin_labels))
     plan = _Plan(k.graph, pinned, set(out_labels) - set(pinned))
-    count = plan.counter(p.neighbors)
+    count = _Counter(plan, p.neighbors)
     # an output label's image is read off the scanned tuple followed by
     # the free images
     known = pin_labels + plan.free

@@ -50,6 +50,7 @@ the ladder builds no further candidate for it.  When level 4 does, the
 quantum group of the category is Aut(G) itself (`classical_certificate`).
 """
 
+from collections import deque
 from fractions import Fraction
 import random
 
@@ -632,20 +633,17 @@ class ConjugateSolution:
 
 
 # ---------------------------------------------------------------------------
-# engine caches
+# engine caches, keyed by the graph itself: a FiniteGraph hashes and
+# compares by its vertex count and edge set
 
 
 _function_engines = {}
 _mor_engines = {}
 
 
-def _graph_key(g):
-    return (g.vertex_count, tuple(g.undirected_edges()))
-
-
 def function_engine(target, category="planar", window=None):
     if isinstance(target, FiniteGraph):
-        key = (_graph_key(target), category)
+        key = (target, category)
         if key not in _function_engines:
             _function_engines[key] = FunctionEngine(Scene.finite(target),
                                                     category=category)
@@ -655,7 +653,7 @@ def function_engine(target, category="planar", window=None):
 
 
 def mor_engine(graph, category="planar"):
-    key = (_graph_key(graph), category)
+    key = (graph, category)
     if key not in _mor_engines:
         _mor_engines[key] = MorEngine(graph, category=category)
     return _mor_engines[key]
@@ -730,7 +728,6 @@ def classical_certificate(graph, category="planar"):
     symmetry."""
     if graph.vertex_count > DEFAULT_AUT_LIMIT:
         return None
-    import numpy as np
     auts, orbits = classical_aut(graph)
     least = least_images(auts, graph.vertex_count, 4)
     burnside = int(np.count_nonzero(least == np.arange(len(least))))
@@ -810,20 +807,23 @@ def _orbit_constant(trace, orbits, v0, scene=None):
 
 
 def _spectral_projections(basis, orbits, tol, seed):
-    import numpy as np
+    """Eigenprojections P = v v^T of a random self-adjoint element that
+    lie in the span, by least squares through the pseudo-inverse of the
+    r x r Gram matrix of the (r, d, d) basis stack, and cut out a
+    one-dimensional corner: the compressions v^T a v have the singular
+    values of P a P, since v is an isometry."""
     support = sorted({t for mat in basis.matrices for key in mat
                       for t in key})
     idx = {t: k for k, t in enumerate(support)}
     dim = len(support)
-    dense = []
-    for mat in basis.matrices:
-        a = np.zeros((dim, dim))
+    stack = np.zeros((len(basis.matrices), dim, dim))
+    for a, mat in zip(stack, basis.matrices):
         for (i, j), c in mat.items():
             a[idx[i], idx[j]] = float(c)
-        dense.append(a)
+    flat = stack.reshape(len(stack), -1)
     rng = random.Random(seed)
-    coeffs = [rng.uniform(0.5, 1.5) for _ in dense]
-    h = sum(c * (a + a.T) / 2 for c, a in zip(coeffs, dense))
+    coeffs = [rng.uniform(0.5, 1.5) for _ in stack]
+    h = sum(c * (a + a.T) / 2 for c, a in zip(coeffs, stack))
     evals, evecs = np.linalg.eigh(h)
     scale = max(1.0, float(np.max(np.abs(evals))))
     clusters = []
@@ -832,26 +832,25 @@ def _spectral_projections(basis, orbits, tol, seed):
             clusters[-1][1].append(k)
         else:
             clusters.append((lam, [k]))
-    flat = np.stack([a.ravel() for a in dense]).T
+    gram_inv = np.linalg.pinv(flat @ flat.T, hermitian=True,
+                              rcond=len(flat) * np.finfo(float).eps)
     out = []
     for lam, ks in clusters:
         if abs(lam) < 1e3 * tol * scale:
             continue
         v = evecs[:, ks]
         proj = v @ v.T
-        coef, res, _rank, _sv = np.linalg.lstsq(flat, proj.ravel(),
-                                                rcond=None)
-        fit = flat @ coef
-        if np.max(np.abs(fit - proj.ravel())) > 1e3 * tol:
+        target = proj.ravel()
+        residual = float(np.max(np.abs(
+            (gram_inv @ (flat @ target)) @ flat - target)))
+        if residual > 1e3 * tol:
             continue
-        corner = np.stack([(proj @ a @ proj).ravel() for a in dense])
+        corner = (v.T @ stack @ v).reshape(len(stack), -1)
         if np.linalg.matrix_rank(corner, tol=1e3 * tol * scale) != 1:
             continue
-        mat = {}
-        for a in range(dim):
-            for b in range(dim):
-                if abs(proj[a, b]) > tol:
-                    mat[(support[a], support[b])] = proj[a, b]
+        rows, cols = np.nonzero(np.abs(proj) > tol)
+        mat = {(support[a], support[b]): x for a, b, x in
+               zip(rows.tolist(), cols.tolist(), proj[rows, cols].tolist())}
         anchor = max(mat, key=lambda k: abs(mat[k]))
         tl = partial_trace(mat, "left")
         tr = partial_trace(mat, "right")
@@ -862,8 +861,7 @@ def _spectral_projections(basis, orbits, tol, seed):
         out.append(MinimalProjection(mat, basis.arity[0],
                                      _block_of(orbits, anchor[0]),
                                      d_l, d_r, False, seed=seed,
-                                     residual=float(np.max(np.abs(
-                                         fit - proj.ravel())))))
+                                     residual=residual))
     return out
 
 
@@ -972,7 +970,6 @@ def mu_assignment(target, category="planar", window=None, e=None):
         for (u, v) in cls:
             ratio[(u, v)] = step
     mu = {e: Fraction(1)}
-    from collections import deque
     todo = deque([e])
     cocycle_ok = True
     while todo:
@@ -1024,7 +1021,6 @@ def lambda_projection(target, n, lam, window=None, core_only=True):
         else target
     allowed = scene.core if (core_only and not scene.is_finite) \
         else set(scene.vertices)
-    from collections import deque
 
     region = set(scene.vertices)
     reach = {}
@@ -1058,7 +1054,6 @@ def ibf_basis(target, p, n, category="planar", tol=1e-9):
     """Isometries spanning the column space cut out by a minimal
     projection, orthonormalized in the inner product where W* V is a
     scalar multiple of the projection."""
-    import numpy as np
     k = p.arity
     anchor = max(p.matrix, key=lambda key: abs(p.matrix[key]))
     pref = p.matrix[anchor]
@@ -1252,8 +1247,6 @@ class SpanModP:
     space, and every input is rejected at once."""
 
     def __init__(self, dim):
-        import numpy as np
-        self.np = np
         self.dim = dim
         self.rows = []
         self.pivots = []
@@ -1262,7 +1255,6 @@ class SpanModP:
     def add(self, vec):
         if self.full:
             return False
-        np = self.np
         p = _SPAN_PRIME
         v = np.asarray(vec, dtype=np.int64).ravel()
         nz = np.flatnonzero(v)
@@ -1302,7 +1294,6 @@ def least_images(auts, q, k):
     orbit.  The indices equal to their least image are the orbit
     representatives, one per orbit.  One image array is built at a
     time, so memory is O(q^k) and time O(|auts| q^k)."""
-    import numpy as np
     least = np.arange(q ** k)
     for perm in auts:
         step = np.asarray(perm, dtype=np.int64)
@@ -1319,25 +1310,24 @@ LADDER_ROUNDS = 10
 class ColumnLadder:
     """Exact generated bases of the column spaces at arities (M, 0).
 
-    Rank decisions are made in Aut-orbit coordinates: `reps[M]` holds the
-    smallest flat index of each orbit of the classical automorphism
-    group on the free coordinates V^max(M, 1), and level M's span sees
-    only a candidate's values there.  The seeds and every operation of
-    the closure commute with Aut, so every candidate is Aut-invariant
-    and its restriction to `reps[M]` is injective, over Q and modulo the
-    prime: each accept decision, and so each stored array, is the one
-    the full arrays would give.  The span's dimension is then the
-    Burnside count, so a level whose rank reaches it holds every
-    invariant vector, and the closure builds no candidate for it.  Past
-    DEFAULT_AUT_LIMIT vertices no automorphism is used, and every tuple
-    is its own representative.
+    Rank decisions are made in Aut-orbit coordinates: `least[M]` holds
+    the least image (`least_images`) of every flat index of the free
+    coordinates V^max(M, 1) under the classical automorphism group,
+    `reps[M]` the indices equal to theirs, one per orbit, and level M's
+    span sees only a candidate's values there.  The seeds and every
+    operation of the closure commute with Aut, so every candidate is
+    Aut-invariant and its restriction to `reps[M]` is injective, over Q
+    and modulo the prime: each accept decision, and so each stored
+    array, is the one the full arrays would give.  The span's dimension
+    is then the Burnside count, so a level whose rank reaches it holds
+    every invariant vector, and the closure builds no candidate for it.
+    Past DEFAULT_AUT_LIMIT vertices no automorphism is used, and every
+    tuple is its own representative.
 
     Raises BudgetExceeded when an f0/f1 entry or an accepted level entry
     reaches LADDER_ENTRY_BOUND in magnitude."""
 
     def __init__(self, graph, category="planar", max_level=6):
-        import numpy as np
-        self.np = np
         self.graph = graph
         self.category = category
         self.q = graph.vertex_count
@@ -1359,10 +1349,10 @@ class ColumnLadder:
             self.f0_vecs.append(w)
         auts = (classical_aut(graph)[0] if self.q <= DEFAULT_AUT_LIMIT
                 else [])
-        self.reps = {}
-        for M in range(max_level + 1):
-            least = least_images(auts, self.q, max(M, 1))
-            self.reps[M] = np.flatnonzero(least == np.arange(len(least)))
+        self.least = {M: least_images(auts, self.q, max(M, 1))
+                      for M in range(max_level + 1)}
+        self.reps = {M: np.flatnonzero(least == np.arange(len(least)))
+                     for M, least in self.least.items()}
         self.levels = {M: [] for M in range(max_level + 1)}
         self.spans = {M: SpanModP(len(self.reps[M]))
                       for M in range(max_level + 1)}
@@ -1378,7 +1368,7 @@ class ColumnLadder:
         return (self.q,) * max(M, 1)
 
     def _check_entries(self, arr):
-        top = int(self.np.abs(arr).max())
+        top = int(np.abs(arr).max())
         if top >= LADDER_ENTRY_BOUND:
             raise BudgetExceeded("ladder entry %d reaches the ladder entry "
                                  "bound %d" % (top, LADDER_ENTRY_BOUND))
@@ -1390,7 +1380,7 @@ class ColumnLadder:
         if self.spans[M].add(vec):
             self._check_entries(arr)
             # a view of a stored array stays a view
-            self.levels[M].append(arr.astype(self.np.int32, copy=False))
+            self.levels[M].append(arr.astype(np.int32, copy=False))
             return True
         return False
 
@@ -1403,7 +1393,6 @@ class ColumnLadder:
                 self._add(2, w)
 
     def _dup(self, arr, M, p):
-        np = self.np
         # duplicate coordinate p, or the closing vertex i0 at the end
         a, b = (p, p + 1) if p < M else (0, M)
         out = np.zeros(self._shape(M + 1), dtype=np.int64)
@@ -1414,7 +1403,7 @@ class ColumnLadder:
     def _scale_edge(self, arr, M, t, w):
         a, b = t, (t + 1) % M
         if a == b:  # loop of length one: the edge is (i0, i0)
-            return arr * self.np.diagonal(w)
+            return arr * np.diagonal(w)
         shape = [1] * M
         shape[a] = shape[b] = self.q
         # the wrap edge t = M - 1 runs from axis M - 1 back to axis 0
@@ -1426,10 +1415,9 @@ class ColumnLadder:
         return arr * f.reshape(shape)
 
     def _cap(self, arr, p):
-        return arr.sum(axis=p, dtype=self.np.int64)
+        return arr.sum(axis=p, dtype=np.int64)
 
     def _merge(self, arr, M, p):
-        np = self.np
         if p == M - 1:  # wrap: identify i_{M-1} with the closing i0
             d = np.diagonal(arr, axis1=M - 1, axis2=0)
             return np.moveaxis(d, -1, 0)
@@ -1440,17 +1428,16 @@ class ColumnLadder:
         if M <= 1:
             return arr
         axes = [0] + list(range(M - 1, 0, -1))
-        return self.np.transpose(arr, axes)
+        return np.transpose(arr, axes)
 
     def _rotate(self, arr, M):
         """Re-base the loop at its second coordinate."""
         if M <= 1:
             return arr
-        return self.np.transpose(arr, list(range(1, M)) + [0])
+        return np.transpose(arr, list(range(1, M)) + [0])
 
     def _wedge(self, x, kx, y, ky):
         """Glue two loops at a shared basepoint, traversing x then y."""
-        np = self.np
         q = self.q
         # an int32 by int32 product would wrap: upcast one factor
         prod = (x.astype(np.int64).reshape(x.shape + (1,) * (ky - 1))
@@ -1485,7 +1472,7 @@ class ColumnLadder:
                     if self.category == "all":
                         # the crossing of two interior loop coordinates
                         for p in range(1, M - 1):
-                            emit(M, self.np.swapaxes, arr, p, p + 1)
+                            emit(M, np.swapaxes, arr, p, p + 1)
                     if M >= 1:
                         emit(M, self._reverse, arr, M)
                         for t in range(M):

@@ -322,6 +322,17 @@ FIBER_PAIR_BUDGET = 30000
 FIBER_LETTER_BUDGET = 4096
 
 
+def _layer_matrix(k, spec, factors, matrices):
+    # the fiber matrix of layer k, memoized in `matrices`
+    if k not in matrices:
+        parts = factors[k]
+        matrices[k] = (fiber_matrix(k, spec).entries if parts is None
+                       else letter_tensor(
+                           _layer_matrix(parts[0], spec, factors, matrices),
+                           _layer_matrix(parts[1], spec, factors, matrices)))
+    return matrices[k]
+
+
 def fiber_span_rank(spec, n, m):
     """Exact rational rank of the span of generated fiber matrices.
 
@@ -337,16 +348,6 @@ def fiber_span_rank(spec, n, m):
     factors = {}
     layers = _layers(n + m, FIBER_LAYER_VERTICES, FIBER_LAYER_CAP, factors)
     matrices = {}
-
-    def matrix(k):
-        vec = matrices.get(k)
-        if vec is None:
-            parts = factors[k]
-            vec = (fiber_matrix(k, spec).entries if parts is None
-                   else letter_tensor(matrix(parts[0]), matrix(parts[1])))
-            matrices[k] = vec
-        return vec
-
     span = RatSpan()
     examined = 0
 
@@ -358,7 +359,7 @@ def fiber_span_rank(spec, n, m):
 
     direct = [k for k in layers if k.n == n + 1 and k.m == m + 1]
     for k in direct:
-        feed(matrix(k))
+        feed(_layer_matrix(k, spec, factors, matrices))
     left = [k for k in layers if k.n == n + 1]
     by_mid = {}
     for k in layers:
@@ -377,7 +378,8 @@ def fiber_span_rank(spec, n, m):
             cand = compose_key(l1, l2)
             if cand not in seen:
                 seen.add(cand)
-                feed(mat_mul(matrix(l1), matrix(l2)))
+                feed(mat_mul(_layer_matrix(l1, spec, factors, matrices),
+                             _layer_matrix(l2, spec, factors, matrices)))
         if not exhausted:
             break
     return {"n": n, "m": m, "rank": span.rank, "layers": len(layers),

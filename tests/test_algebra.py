@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qgs.graphs import (ValidationError, classical_aut, complete_graph,
@@ -442,3 +443,37 @@ def test_orbit_route_equals_gram_route(make, monkeypatch):
     for e in range(q):
         assert abs(orbit.left_invariance_residual(e, n_max=2)
                    - gram.left_invariance_residual(e, n_max=2)) < 1e-12
+
+
+def test_gram_constancy_check_raises_on_a_merged_orbit():
+    # P3's quantum orbits {0, 2} and {1} merged into one class: the
+    # corner Grams at basepoints 0 and 1 differ
+    from qgs import algebra
+    from qgs.morspace import OrbitPartition
+    merged = OrbitPartition([[0, 1, 2]], "planar", "exact", True, None)
+    kernel = algebra._GramKernel(path_graph(3), "planar", 3, merged)
+    with pytest.raises(ValidationError, match="not constant"):
+        kernel.values(1, 0, np.array([0]), np.array([1]))
+
+
+@pytest.mark.parametrize("make, rows_at_6", [(lambda: complete_graph(4), 187),
+                                             (lambda: cycle_graph(4), 528)],
+                         ids=["K4", "C4"])
+def test_gram_corner_has_one_row_per_orbit(make, rows_at_6):
+    hs = haar_system(make())
+    assert hs.auts is None
+    kernel = hs._kernel
+    q = hs.q
+    for M in range(1, hs.max_level):
+        block = q ** (M - 1)
+        for a, members in enumerate(hs.orbits.classes):
+            index, left, right = kernel._corner(M, a)
+            reps = [r for r in kernel.ladder.reps[M] if r // block in members]
+            # one factor row per Aut-orbit based in a, and a zero row
+            # that tuples based elsewhere read
+            assert left.shape[0] == right.shape[0] == len(reps) + 1
+            assert list(index[reps]) == list(range(len(reps)))
+            assert not left[-1].any() and not right[-1].any()
+            if M == 6:
+                assert len(reps) == rows_at_6 < q ** M
+

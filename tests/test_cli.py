@@ -20,13 +20,15 @@ P4 = "finite 4\nedge 0 1\nedge 1 2\nedge 2 3\n"
 K3 = "finite 3\nedge 0 1\nedge 1 2\nedge 0 2\n"
 K4 = "finite 4\n" + "".join("edge %d %d\n" % (u, v) for u in range(4)
                              for v in range(u + 1, 4))
+C6 = "finite 6\n" + "".join("edge %d %d\n" % (v, (v + 1) % 6)
+                             for v in range(6))
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, text in (("c4", C4), ("p3", P3), ("p4", P4), ("k3", K3),
-                       ("k4", K4)):
+                       ("k4", K4), ("c6", C6)):
         p = tmp_path / (name + ".graph")
         p.write_text(text)
         paths[name] = str(p)
@@ -91,6 +93,31 @@ def test_dims_report(files, capsys):
     by_arity = {d["arity"]: d for d in doc["dims"]}
     assert by_arity[0]["mor_dimension"] == 2
     assert all(p["exact"] for p in by_arity[1]["projections"])
+
+
+def test_dims_c6_depth_two_is_frozen(files, capsys):
+    # the spectral projections of Mor(2, 2) on C6 (r = 112) took about
+    # 30 s when each eigenvalue cluster ran its own least squares fit
+    # and SVD; the report is the one that code gave
+    import time
+    start = time.perf_counter()
+    code, doc, _ = run(capsys, ["dims", "--graph", files["c6"],
+                                "--depth", "2"])
+    assert time.perf_counter() - start < 15
+
+    def projections(exact, *counts):
+        return [{"block": [0, 0], "d_left": d, "d_right": d,
+                 "exact": exact}
+                for d, count in counts for _ in range(count)]
+
+    assert code == 0
+    assert doc["dims"] == [
+        {"arity": 0, "mor_dimension": 1,
+         "projections": projections(True, ("1", 1))},
+        {"arity": 1, "mor_dimension": 4,
+         "projections": projections(True, ("1", 2), ("2", 2))},
+        {"arity": 2, "mor_dimension": 112,
+         "projections": projections(False, ("1", 12), ("2", 12))}]
 
 
 def test_haar_check_passes(files, capsys):

@@ -256,6 +256,81 @@ def test_conjugate_solutions_spectral():
             assert abs(v - round(v)) < 1e-9
 
 
+def reference_spectral_projections(basis, orbits, tol, seed):
+    """Oracle: per eigenvalue cluster, membership by its own least
+    squares fit against the d^2 x r stacked basis, and minimality by an
+    SVD rank of the r x d^2 stack of P a P."""
+    import random
+    import numpy as np
+    support = sorted({t for mat in basis.matrices for key in mat
+                      for t in key})
+    idx = {t: k for k, t in enumerate(support)}
+    dim = len(support)
+    dense = []
+    for mat in basis.matrices:
+        a = np.zeros((dim, dim))
+        for (i, j), c in mat.items():
+            a[idx[i], idx[j]] = float(c)
+        dense.append(a)
+    rng = random.Random(seed)
+    coeffs = [rng.uniform(0.5, 1.5) for _ in dense]
+    h = sum(c * (a + a.T) / 2 for c, a in zip(coeffs, dense))
+    evals, evecs = np.linalg.eigh(h)
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    clusters = []
+    for k, lam in enumerate(evals):
+        if clusters and abs(lam - clusters[-1][0]) < 1e3 * tol * scale:
+            clusters[-1][1].append(k)
+        else:
+            clusters.append((lam, [k]))
+    flat = np.stack([a.ravel() for a in dense]).T
+    out = []
+    for lam, ks in clusters:
+        if abs(lam) < 1e3 * tol * scale:
+            continue
+        v = evecs[:, ks]
+        proj = v @ v.T
+        coef = np.linalg.lstsq(flat, proj.ravel(), rcond=None)[0]
+        if np.max(np.abs(flat @ coef - proj.ravel())) > 1e3 * tol:
+            continue
+        corner = np.stack([(proj @ a @ proj).ravel() for a in dense])
+        if np.linalg.matrix_rank(corner, tol=1e3 * tol * scale) != 1:
+            continue
+        mat = {}
+        for a in range(dim):
+            for b in range(dim):
+                if abs(proj[a, b]) > tol:
+                    mat[(support[a], support[b])] = proj[a, b]
+        anchor = max(mat, key=lambda k: abs(mat[k]))
+        d_l = ms._float_orbit_constant(hm.partial_trace(mat, "left"),
+                                       orbits, anchor[0][0], tol)
+        d_r = ms._float_orbit_constant(hm.partial_trace(mat, "right"),
+                                       orbits, anchor[0][-1], tol)
+        if d_l is not None and d_r is not None:
+            out.append((ms._block_of(orbits, anchor[0]), d_l, d_r, mat))
+    return out
+
+
+@pytest.mark.parametrize("category", ["planar", "all"])
+@pytest.mark.parametrize("make", [k3, p3, k4, c4,
+                                  lambda: FiniteGraph(4, [(0, 1), (0, 2),
+                                                          (0, 3)]),
+                                  lambda: FiniteGraph(4, [(0, 1), (1, 2),
+                                                          (2, 3)])],
+                         ids=["K3", "P3", "K4", "C4", "K1,3", "P4"])
+def test_spectral_projections_match_the_reference(make, category):
+    b = ms.generate_mor(make(), 2, 2, category=category)
+    orbits = ms.quantum_orbits(b.scene.graph, category=category)
+    got = ms._spectral_projections(b, orbits, 1e-9, 0)
+    want = reference_spectral_projections(b, orbits, 1e-9, 0)
+    assert [(p.block, p.d_left, p.d_right, p.exact) for p in got] == \
+        [(block, d_l, d_r, False) for block, d_l, d_r, _mat in want]
+    for p, (_block, _d_l, _d_r, mat) in zip(got, want):
+        assert list(p.matrix) == list(mat)
+        assert max(abs(p.matrix[k] - mat[k]) for k in mat) < 1e-9
+        assert p.residual < 1e-9
+
+
 def test_mu_assignment_grandparent():
     gp = grandparent_graph(3)
     mu = ms.mu_assignment(gp, window={"radius": 4, "guard": 2})
