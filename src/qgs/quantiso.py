@@ -6,7 +6,8 @@ refined into classes by their full vector of pointed counts; the graphs
 are indistinguishable at a given depth when there is a bijection of
 classes matching every count vector, and distinguished when some pointed
 pattern separates them, in which case a reproducible witness is
-returned.
+returned.  Every count is read off the rows of `hommat.hom_rows`, one
+enumeration per pattern, under SIGNATURE_BUDGET_BYTES.
 
 A bounded-depth relation check compares the rational linear relations
 satisfied by the homomorphism matrices of a canonical pattern family on
@@ -20,10 +21,9 @@ import numpy as np
 import networkx as nx
 from networkx.generators.atlas import _generate_graphs
 
-from .graphs import (BudgetExceeded, FiniteGraph, ValidationError,
-                     classical_aut)
+from .graphs import FiniteGraph, ValidationError, classical_aut
 from .bilabeled import BiLabeled
-from .hommat import hom_matrix
+from .hommat import hom_matrix, hom_rows
 from .ratmat import RatSpan
 
 ATLAS_LIMIT = 7
@@ -70,60 +70,36 @@ def pointed_patterns(depth):
     return _pointed_cache[depth]
 
 
-def pointed_hom_count(pattern, x, target, i):
-    """Count of homomorphisms of the pattern pinning the basepoint.
-
-    Exact count read off the homomorphism rows (`hommat.hom_matrix`),
-    not off the dense pattern tensors; used to make witnesses
-    reproducible independently of the signature computation.  Raises
-    BudgetExceeded when the rows would exceed SIGNATURE_BUDGET_BYTES."""
-    hm = hom_matrix(BiLabeled(pattern, (x,), ()), target,
-                    SIGNATURE_BUDGET_BYTES)
-    return hm.entries.get(((i,), ()), 0)
-
-
-# Bytes of the largest pattern tensor count_signatures may allocate; an
-# n-vertex pattern on a q-vertex graph takes q**n.  512 MiB admits up to
-# 28 vertices at depth 6.
+# Bytes one join step of `hommat.hom_rows` may take for the counts here
+# and in the finite function engine; a step over it raises
+# BudgetExceeded before it allocates.
 SIGNATURE_BUDGET_BYTES = 1 << 29
 
 
-def _pattern_tensor(pattern, adj):
-    """0/1 tensor whose entry (v_1..v_n) is 1 when v respects every edge."""
-    q = adj.shape[0]
-    n = pattern.vertex_count
-    t = np.ones((q,) * n, dtype=bool)
-    for (u, v) in pattern.undirected_edges():
-        shape = tuple(q if k in (u, v) else 1 for k in range(n))
-        np.logical_and(t, adj.reshape(shape), out=t)
-    return t
+def pointed_hom_count(pattern, x, target, i):
+    """Count of homomorphisms of the pattern into the target mapping the
+    basepoint x to the vertex i, read off hom_rows(pattern, target).
+    Raises BudgetExceeded as hom_rows does."""
+    rows = hom_rows(pattern, target, SIGNATURE_BUDGET_BYTES)
+    return int(np.count_nonzero(rows[:, x] == i))
 
 
 def count_signatures(g, depth):
     """Vector of pointed planar homomorphism counts for every vertex.
 
-    Coordinate k of each vector is the count of pointed_patterns(depth)[k].
-    Raises BudgetExceeded, before allocating, when a pattern tensor would
-    exceed SIGNATURE_BUDGET_BYTES."""
-    pointed = pointed_patterns(depth)
+    Coordinate k of each vector is the count of pointed_patterns(depth)[k],
+    a bincount of the basepoint's column of hom_rows(pattern, g).  Raises
+    BudgetExceeded, before the step's allocation, when a join step of
+    hom_rows would take more than SIGNATURE_BUDGET_BYTES."""
     q = g.vertex_count
-    n_max = max(pattern.vertex_count for pattern, _base in pointed)
-    if q ** n_max > SIGNATURE_BUDGET_BYTES:
-        raise BudgetExceeded(
-            "a %d-vertex pattern tensor on %d vertices needs %d bytes, over "
-            "the signature budget of %d bytes"
-            % (n_max, q, q ** n_max, SIGNATURE_BUDGET_BYTES))
-    adj = np.zeros((q, q), dtype=bool)
-    for (u, v) in g.edges:
-        adj[u, v] = True
     columns = []
     last = None
-    for pattern, base in pointed:
+    for pattern, base in pointed_patterns(depth):
         if pattern is not last:     # consecutive entries share a pattern
-            t, last = _pattern_tensor(pattern, adj), pattern
-        # slice v of the tensor along the basepoint axis pins it to v
-        columns.append([int(np.count_nonzero(s))
-                        for s in np.moveaxis(t, base, 0)])
+            rows = None     # so the last rows are freed before the join
+            rows = hom_rows(pattern, g, SIGNATURE_BUDGET_BYTES)
+            last = pattern
+        columns.append(np.bincount(rows[:, base], minlength=q).tolist())
     return {v: tuple(sig) for v, sig in enumerate(zip(*columns))}
 
 
@@ -177,6 +153,8 @@ def planar_iso_test(g1, g2, depth=6):
     in size, the witness is that class pair: its pattern and basepoint
     are None and its counts are the two class sizes."""
     for g in (g1, g2):
+        if g.vertex_count == 0:
+            raise ValidationError("graphs must have a vertex")
         if not g.is_connected():
             raise ValidationError("graphs must be connected")
     cls1 = _classes(count_signatures(g1, depth))

@@ -19,6 +19,7 @@ from qgs import quantiso, quantization
 from qgs.graphs import FiniteGraph, classical_aut, cycle_graph, path_graph
 from qgs.quantiso import SIGNATURE_BUDGET_BYTES
 from qgs.ratmat import RatSpan
+from test_quantiso import reference_pointed_counts
 
 
 def random_connected(rng, lo, hi):
@@ -290,13 +291,17 @@ def test_criterion_7_planar_iso():
         v21 = quantiso.planar_iso_test(g2, g1, depth=6)
         assert v12.status == "distinguished" == v21.status
         w = v12.witness
-        # the witness counts are reproduced from the homomorphism rows,
-        # independently of the signature tensors
+        # the witness counts are reproduced by pointed_hom_count and by
+        # the dense pattern tensors of the reference, which share no
+        # code with the signatures' homomorphism rows
         for g, orbit, count in ((g1, w["orbit1"], w["count1"]),
                                 (g2, w["orbit2"], w["count2"])):
+            reference = reference_pointed_counts(w["pattern"],
+                                                 w["basepoint"], g)
             for v in orbit:
                 assert quantiso.pointed_hom_count(
                     w["pattern"], w["basepoint"], g, v) == count
+                assert reference[v] == count
         assert w["count1"] != w["count2"]
         assert v21.witness["count1"] == w["count2"]
     elapsed = time.monotonic() - start

@@ -1,6 +1,7 @@
 """Tests for the command-line frontend and its JSON reports."""
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -258,16 +259,44 @@ def test_planar_iso_class_sizes(capsys, tmp_path):
     assert w["pattern_vertices"] is None and w["basepoint"] is None
 
 
-def test_planar_iso_budget(capsys, tmp_path, monkeypatch):
-    def no_tensor(pattern, adj):
-        raise AssertionError("pattern tensor allocated")
-    monkeypatch.setattr(quantiso, "_pattern_tensor", no_tensor)
-    c30 = cycle_file(tmp_path, 30)
-    code, doc, err = run(capsys, ["planar-iso", "--graph", c30,
-                                  "--graph", c30, "--depth", "6"])
+def complete_file(tmp_path, n):
+    path = tmp_path / ("k%d.graph" % n)
+    path.write_text("finite %d\n" % n + "".join(
+        "edge %d %d\n" % e for e in itertools.combinations(range(n), 2)))
+    return str(path)
+
+
+def test_planar_iso_budget(capsys, tmp_path):
+    # on K60 the first 4-vertex pattern's join step needs 60 * 59^3
+    # candidate rows of 4 * 4 + 4 * 8 bytes, 591 MB, over the 512 MiB
+    # signature budget
+    k60 = complete_file(tmp_path, 60)
+    code, doc, err = run(capsys, ["planar-iso", "--graph", k60,
+                                  "--graph", k60, "--depth", "6"])
     assert code == 2
     assert doc is None
     assert "signature budget" in err
+
+
+def test_planar_iso_long_cycle(capsys, tmp_path):
+    c30 = cycle_file(tmp_path, 30)
+    code, doc, _ = run(capsys, ["planar-iso", "--graph", c30,
+                                "--graph", c30, "--depth", "6"])
+    assert code == 0
+    assert doc["status"] == "indistinguishable_up_to_depth"
+    assert doc["class_bijection"] == [[sorted(map(str, range(30)))] * 2]
+
+
+def test_planar_iso_rejects_a_graph_without_vertices(capsys, tmp_path):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("finite 0\n")
+    k1 = tmp_path / "k1.graph"
+    k1.write_text("finite 1\n")
+    for a, b in ((empty, k1), (k1, empty)):
+        code, doc, err = run(capsys, ["planar-iso", "--graph", str(a),
+                                      "--graph", str(b)])
+        assert code == 1 and doc is None
+        assert "graphs must have a vertex" in err
 
 
 def test_orbits_beyond_classical_limit(capsys, tmp_path):

@@ -79,18 +79,52 @@ def connected_graphs(draw, max_vertices=6):
     return FiniteGraph(n, edges)
 
 
+def pattern_tensor(pattern, g):
+    """Reference: the dense 0/1 tensor on V(g)^n whose entry (v_1..v_n)
+    is 1 when v respects every edge of the n-vertex pattern."""
+    q, n = g.vertex_count, pattern.vertex_count
+    adj = np.zeros((q, q), dtype=bool)
+    for (u, v) in g.edges:
+        adj[u, v] = True
+    t = np.ones((q,) * n, dtype=bool)
+    for (u, v) in pattern.undirected_edges():
+        shape = tuple(q if k in (u, v) else 1 for k in range(n))
+        np.logical_and(t, adj.reshape(shape), out=t)
+    return t
+
+
+def reference_pointed_counts(pattern, base, g):
+    """Reference: the pointed counts at every vertex of g, the slices of
+    the pattern tensor along the basepoint axis."""
+    return [int(np.count_nonzero(s))
+            for s in np.moveaxis(pattern_tensor(pattern, g), base, 0)]
+
+
+def reference_signatures(g, depth):
+    """Reference for count_signatures from the dense pattern tensors."""
+    columns = [reference_pointed_counts(pattern, base, g)
+               for pattern, base in pointed_patterns(depth)]
+    return {v: tuple(sig) for v, sig in enumerate(zip(*columns))}
+
+
 @settings(max_examples=40, deadline=None)
-@given(connected_graphs())
-@example(cycle_graph(5))
-def test_signatures_match_brute_force(g):
-    # coordinate k of the tensor signature is the count of the k-th
-    # pointed pattern read off its homomorphism rows
-    sigs = count_signatures(g, 4)
-    pointed = pointed_patterns(4)
-    for v in range(g.vertex_count):
-        assert len(sigs[v]) == len(pointed)
-        for k, (pattern, base) in enumerate(pointed):
-            assert sigs[v][k] == pointed_hom_count(pattern, base, g, v)
+@given(connected_graphs(), st.just(4))
+@example(cycle_graph(5), 4)
+# depth 6 with loops: on a path, on a triangle, on every vertex
+@example(FiniteGraph(5, [(0, 0), (0, 1), (1, 2), (2, 3), (3, 4), (4, 4)]),
+         6)
+@example(FiniteGraph(4, [(0, 1), (1, 2), (0, 2), (2, 2), (2, 3)]), 6)
+@example(FiniteGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]), 6)
+# depth 6 with several components, one an isolated vertex or a loop
+@example(FiniteGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4)]), 6)
+@example(FiniteGraph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 4), (5, 6)]),
+         6)
+def test_signatures_match_brute_force(g, depth):
+    assert count_signatures(g, depth) == reference_signatures(g, depth)
+    for pattern, base in pointed_patterns(depth):
+        assert [pointed_hom_count(pattern, base, g, v)
+                for v in range(g.vertex_count)] == \
+            reference_pointed_counts(pattern, base, g)
 
 
 @settings(max_examples=40, deadline=None)
