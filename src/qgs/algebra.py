@@ -245,7 +245,7 @@ class HaarSystem:
         self.max_level = max_level
         self.dist = all_pairs_distances(graph)
         self.orbits = quantum_orbits(graph, category=category)
-        self.mu = mu_assignment(graph, category=category).mu
+        self.mu = mu_assignment(graph).mu
         self.auts = classical_certificate(graph, category)
         if self.auts is None:
             self._kernel = _GramKernel(graph, category, max_level,
@@ -416,10 +416,10 @@ class HaarSystem:
 
     # -- admissible tuple enumeration -----------------------------------
 
-    def admissible_partners(self, j_tup, endpoints=None):
-        """All i with U_n(i, j_tup) nonzero, in lexicographic order,
-        optionally with fixed ends.  The rules of `word_is_zero` are
-        applied to all q^n tuples at once."""
+    def admissible_partners(self, j_tup):
+        """All i with U_n(i, j_tup) nonzero, in lexicographic order.
+        The rules of `word_is_zero` are applied to all q^n tuples at
+        once."""
         n = len(j_tup)
         tups = np.indices((self.q,) * n).reshape(n, -1).T
         orbit = np.array(self._orbit)
@@ -431,8 +431,6 @@ class HaarSystem:
             a, b = tups[:, k - 1], tups[:, k]
             ok &= dist[a, b] == dist[j[k - 1], j[k]]
             ok &= ratio[a, b] == ratio[j[k - 1], j[k]]
-        if endpoints is not None:
-            ok &= (tups[:, 0] == endpoints[0]) & (tups[:, -1] == endpoints[1])
         return [tuple(t) for t in tups[ok].tolist()]
 
     def unit_pairs(self):
@@ -463,25 +461,21 @@ class HaarSystem:
             np.array([self._flat(q_tup[:-1])]))
         return float(val[0])
 
-    def left_invariance_residual(self, e, n_max=2, f=None, tests=None):
+    def left_invariance_residual(self, e, n_max=2):
         """Worst residual of left invariance over short corner words.
 
         For every b = u_se U_n(i, j) u_te with n <= n_max, the identity
-        (id (x) phi_e) Delta(b) = phi_e(b) 1 is paired against test words
-        a = u_vw through the faithful functional phi_f, comparing
-        phi_f(a . (id (x) phi_e) Delta(b)) with phi_f(a) phi_e(b)."""
-        if f is None:
-            f = e
-        if tests is None:
-            tests = self.unit_pairs()
+        (id (x) phi_e) Delta(b) = phi_e(b) 1 is paired against the test
+        words a = u_vw of every unit pair through the faithful functional
+        phi_e itself, comparing phi_e(a . (id (x) phi_e) Delta(b)) with
+        phi_e(a) phi_e(b)."""
         q = self.q
         a_orb = self.orbit_of(e)
-        f_orb = self.orbit_of(f)
-        f_members = np.array(self.orbit_members(f_orb))
-        phf_unit = np.zeros((q, q))
+        members = np.array(self.orbit_members(a_orb))
+        phe_unit = np.zeros((q, q))
         tested = np.zeros((q, q), dtype=bool)
-        for (v, w) in tests:
-            phf_unit[v, w] = self.phi_e(word((v,), (w,)), f)
+        for (v, w) in self.unit_pairs():
+            phe_unit[v, w] = self.phi_e(word((v,), (w,)), e)
             tested[v, w] = True
         verts = np.arange(q)
         worst = 0.0
@@ -506,15 +500,15 @@ class HaarSystem:
                 ph[closed] = self.kernel_values(
                     n + 3, a_orb, ps[closed, 0] * block + tail[closed],
                     np.full(closed.sum(), self._flat((e,) + q_tup)))
-                # lhs[v, p, w] = sum_s sum_m K[(s, v) + p, (f, w) + m] ph[m]
-                # = phi_f(u_vw U(p, m)) paired with ph, for every (v, w)
-                rows = ((f_members[:, None, None] * q + verts[:, None])
+                # lhs[v, p, w] = sum_s sum_m K[(s, v) + p, (e, w) + m] ph[m]
+                # = phi_e(u_vw U(p, m)) paired with ph, for every (v, w)
+                rows = ((members[:, None, None] * q + verts[:, None])
                         * block + tail)
-                cols = (f * q + verts)[:, None] * block + tail
+                cols = (e * q + verts)[:, None] * block + tail
                 lhs = self._kernel.apply(
-                    level, f_orb, rows.reshape(len(f_members), -1), cols,
+                    level, a_orb, rows.reshape(len(members), -1), cols,
                     ph).reshape(q, len(ps), q)
-                rhs = phf_unit[:, None, :] * ph[:, None]
+                rhs = phe_unit[:, None, :] * ph[:, None]
                 gap = np.abs(lhs - rhs).max(axis=1)[tested]
                 worst = max(worst, float(gap.max(initial=0.0)))
                 checked += len(ps) * len(gap)

@@ -344,7 +344,7 @@ def canonical(k):
 # ---------------------------------------------------------------------------
 # Planar closure generation
 
-def generate_planar_closure(max_labels, size_budget, max_rounds=None):
+def generate_planar_closure(max_labels, size_budget):
     """Closure of {M^{1,0}, M^{1,2}, A, M^{1,1}, M^{2,0}} under
     composition, tensor and transpose, truncated to graphs within the
     vertex and label budgets.  Returns (members sorted by canonical key,
@@ -381,8 +381,6 @@ def generate_planar_closure(max_labels, size_budget, max_rounds=None):
     fresh = list(seen.values())
     while fresh:
         rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
         new = []
         current = list(seen.values())
         for a in fresh:

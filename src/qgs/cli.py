@@ -106,8 +106,7 @@ def cmd_dims(args):
 
 def cmd_mu(args):
     target, window = _target(args)
-    mu = morspace.mu_assignment(target, category=args.category,
-                                window=window)
+    mu = morspace.mu_assignment(target, window=window)
     table = {_vertex_key(v): str(val) for v, val in mu.mu.items()}
     return {"mu": dict(sorted(table.items())),
             "base_vertex": _vertex_key(mu.e),
@@ -253,15 +252,15 @@ FLAGS = {
 }
 # inputs, not settings: left out of a report's config
 INPUT_FLAGS = ("--graph", "--provider", "--group")
-# what `_target` reads, the engines' category and the output path
+# what `_target` reads and the output path
 _TARGET = ("--graph", "--provider", "--radius", "--budget-vertices",
-           "--category", "--out")
+           "--out")
 # Per subcommand: its handler, the flags it reads and the defaults in
 # which it differs from FLAGS.
 COMMANDS = {
-    "orbits": (cmd_orbits, _TARGET, {}),
-    "dims": (cmd_dims, _TARGET + ("--depth", "--tol", "--seed"),
-             {"depth": 2}),
+    "orbits": (cmd_orbits, _TARGET + ("--category",), {}),
+    "dims": (cmd_dims, _TARGET + ("--category", "--depth", "--tol",
+                                  "--seed"), {"depth": 2}),
     "mu": (cmd_mu, _TARGET, {}),
     "haar-check": (cmd_haar_check, ("--graph", "--category", "--depth",
                                     "--tol", "--seed", "--out"), {}),

@@ -26,19 +26,19 @@ class ValidationError(Exception):
 class FiniteGraph:
     """Undirected finite graph on vertices 0..n-1 (loops allowed)."""
 
-    def __init__(self, vertex_count, edges, loops_allowed=True):
+    def __init__(self, vertex_count, edges):
         self.vertex_count = int(vertex_count)
+        if self.vertex_count < 0:
+            raise ValidationError("vertex count %d is negative"
+                                  % self.vertex_count)
         es = set()
         for (u, v) in edges:
             u, v = int(u), int(v)
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValidationError("edge (%s,%s) out of range" % (u, v))
-            if u == v and not loops_allowed:
-                raise ValidationError("loop (%s,%s) not allowed" % (u, v))
             es.add((u, v))
             es.add((v, u))
         self.edges = frozenset(es)
-        self.loops_allowed = loops_allowed
         self._nbrs = [[] for _ in range(self.vertex_count)]
         for (u, v) in sorted(es):
             self._nbrs[u].append(v)

@@ -4,9 +4,13 @@ Spans of homomorphism matrices in path form (the first entries of the two
 label tuples agree, and likewise the last entries) are generated by a
 closure procedure.  From the generated spans we read off quantum orbits,
 minimal projections with left/right dimensions, the modular vertex weight
-mu, conjugate solutions for the duality equations, and the edge
-substitution that evaluates a pointed planar pattern with matrix-valued
-edges.
+mu, and conjugate solutions for the duality equations.
+
+The path projections, the Lambda-projections and the edge substitution
+that evaluates a pointed planar pattern with matrix-valued edges are
+weighted homomorphism sums over a finite graph.  Like the seeds, they
+are read off the rows of `hommat.hom_rows`, the one finite counting
+kernel.
 
 Two engines cooperate.  A function engine works at arities (0,0) and
 (1,1), where every span element is a function on vertices or on vertex
@@ -25,7 +29,7 @@ intertwiners of the quantum automorphism group; category "all" spans
 those of the classical group, because the ladder also applies the
 crossing of two interior loop coordinates.  The crossing acts only from
 arity 2 on, so at arities (0,0) and (1,1) the two categories give the
-same spans.
+same spans, and the function engine takes no category.
 
 On finite graphs the function engine runs no closure: its bases are the
 indicators of the atoms of the coherent closure of the seeds, computed
@@ -58,10 +62,11 @@ import numpy as np
 
 from . import quantiso
 from .graphs import (DEFAULT_AUT_LIMIT, BudgetExceeded, FiniteGraph,
-                     ValidationError, ball, classical_aut, distance)
+                     ValidationError, all_pairs_distances, ball,
+                     classical_aut, distance, path_graph)
 from .bilabeled import BiLabeled
-from .hommat import (TupleWindow, hom_matrix_windowed, partial_trace,
-                     pinned_pair_counts)
+from .hommat import (TupleWindow, hom_matrix_windowed, hom_rows,
+                     partial_trace, pinned_pair_counts)
 from .ratmat import RatSpan
 
 
@@ -174,9 +179,8 @@ class FunctionEngine:
     sums are taken only for functions whose support radius fits inside
     the recorded pair domain."""
 
-    def __init__(self, scene, category="planar"):
+    def __init__(self, scene):
         self.scene = scene
-        self.category = category
         self._build_domain()
         self._seed()
         if scene.is_finite:
@@ -541,7 +545,7 @@ class MorEngine:
     def __init__(self, graph, category="planar"):
         self.graph = graph
         self.category = category
-        self.scene = function_engine(graph, category).scene
+        self.scene = function_engine(graph).scene
         ladder = ColumnLadder(graph, category, max_level=MOR_LEVEL + 1)
         self.rounds = ladder.rounds
         self.stable = ladder.stable
@@ -641,15 +645,12 @@ _function_engines = {}
 _mor_engines = {}
 
 
-def function_engine(target, category="planar", window=None):
+def function_engine(target, window=None):
     if isinstance(target, FiniteGraph):
-        key = (target, category)
-        if key not in _function_engines:
-            _function_engines[key] = FunctionEngine(Scene.finite(target),
-                                                    category=category)
-        return _function_engines[key]
-    scene = scene_for(target, window)
-    return FunctionEngine(scene, category=category)
+        if target not in _function_engines:
+            _function_engines[target] = FunctionEngine(Scene.finite(target))
+        return _function_engines[target]
+    return FunctionEngine(scene_for(target, window))
 
 
 def mor_engine(graph, category="planar"):
@@ -669,7 +670,7 @@ def generate_mor(target, n, m, category="planar", window=None):
     Arities (0,0) and (1,1) work on finite graphs and guarded windows;
     higher arities require a finite graph."""
     if (n, m) in ((0, 0), (1, 1)):
-        fe = function_engine(target, category, window)
+        fe = function_engine(target, window)
         if (n, m) == (0, 0):
             mats = [{((v,), (v,)): c for v, c in fn.items()}
                     for fn in fe.f0_basis()]
@@ -690,7 +691,7 @@ def generate_mor(target, n, m, category="planar", window=None):
 
 def quantum_orbits(target, category="all", window=None):
     """Vertex partition induced by the generated invariant functions."""
-    fe = function_engine(target, category, window)
+    fe = function_engine(target, window)
     sig = fe.orbit_signatures()
     classes = {}
     for v, s in sig.items():
@@ -939,14 +940,14 @@ def _fold_trace(col, pmat, n, side):
     return out
 
 
-def mu_assignment(target, category="planar", window=None, e=None):
+def mu_assignment(target, window=None, e=None):
     """Vertex weight from edge-atom dimension ratios, normalized at e.
 
     Each minimal edge atom of the pair-function span has a left and a
     right trace; their ratio is the multiplicative step across any edge
     in the atom.  The steps are propagated from the root and checked for
     consistency around the explored region."""
-    fe = function_engine(target, category, window)
+    fe = function_engine(target, window)
     scene = fe.scene
     if e is None:
         e = 0 if scene.is_finite else scene.provider.base_vertex
@@ -993,61 +994,38 @@ def mu_assignment(target, category="planar", window=None, e=None):
     return MuAssignment(mu, e, ratio, cocycle_ok)
 
 
-def path_projection(target, n, window=None, core_only=True):
-    """Indicator of tuples that walk along edges for n steps."""
-    scene = scene_for(target, window) if not isinstance(target, Scene) \
-        else target
-    allowed = scene.core if (core_only and not scene.is_finite) \
-        else set(scene.vertices)
-    mat = {}
-
-    def walk(tup):
-        if len(tup) == n + 1:
-            mat[(tup, tup)] = 1
-            return
-        for w in scene.neighbors(tup[-1]):
-            if w in allowed:
-                walk(tup + (w,))
-
-    for v in sorted(allowed, key=scene.vertex_sort_key):
-        walk((v,))
-    return mat
+def _walks(graph, n):
+    """Diagonal indicator of the homomorphisms of the path on n + 1
+    vertices into `graph`, in the lexicographic order of `hom_rows`."""
+    rows = hom_rows(path_graph(n + 1), graph,
+                    quantiso.SIGNATURE_BUDGET_BYTES)
+    return {(w, w): 1 for w in map(tuple, rows.tolist())}
 
 
-def lambda_projection(target, n, lam, window=None, core_only=True):
+def _check_finite(target):
+    if not isinstance(target, FiniteGraph):
+        raise ValidationError("path projections and edge substitution "
+                              "need a finite graph")
+
+
+def path_projection(target, n):
+    """Indicator of tuples that walk along edges for n steps: the rows
+    of `hom_rows` of the path on n + 1 vertices.  Raises BudgetExceeded
+    as hom_rows does."""
+    _check_finite(target)
+    return _walks(target, n)
+
+
+def lambda_projection(target, n, lam):
     """Indicator of tuples whose consecutive steps stay within distance
-    lam (distance measured inside the explored region)."""
-    scene = scene_for(target, window) if not isinstance(target, Scene) \
-        else target
-    allowed = scene.core if (core_only and not scene.is_finite) \
-        else set(scene.vertices)
-
-    region = set(scene.vertices)
-    reach = {}
-    for v in allowed:
-        seen = {v: 0}
-        todo = deque([v])
-        while todo:
-            u = todo.popleft()
-            if seen[u] == lam:
-                continue
-            for w in scene.neighbors(u):
-                if w not in seen and w in region:
-                    seen[w] = seen[u] + 1
-                    todo.append(w)
-        reach[v] = {w for w in seen if w in allowed}
-    mat = {}
-
-    def walk(tup):
-        if len(tup) == n + 1:
-            mat[(tup, tup)] = 1
-            return
-        for w in sorted(reach[tup[-1]], key=scene.vertex_sort_key):
-            walk(tup + (w,))
-
-    for v in sorted(allowed, key=scene.vertex_sort_key):
-        walk((v,))
-    return mat
+    lam: the walks of n steps in the graph that joins u and v when
+    their distance is at most lam, which has a loop at every vertex."""
+    _check_finite(target)
+    q = target.vertex_count
+    dist = all_pairs_distances(target)
+    near = FiniteGraph(q, [(u, v) for u in range(q) for v in range(q)
+                           if 0 <= dist[u][v] <= lam])
+    return _walks(near, n)
 
 
 def ibf_basis(target, p, n, category="planar", tol=1e-9):
@@ -1108,109 +1086,36 @@ def _floatify(mat):
     return out
 
 
-def edge_substitute(pattern, x1, x2, assignment, target, window=None,
-                    pairs=None):
+def edge_substitute(pattern, x1, x2, assignment, target):
     """Evaluate a pointed pattern whose oriented edges carry pair
     functions: sum over all vertex maps of the product of edge values,
-    with the two marked vertices pinned.  Returns a pair function."""
-    scene = scene_for(target, window) if not isinstance(target, Scene) \
-        else target
-    supp_out, supp_in = {}, {}
-    for edge, fn in assignment.items():
-        so, si = {}, {}
-        for (u, v), c in fn.items():
-            if c:
-                so.setdefault(u, {})[v] = c
-                si.setdefault(v, {})[u] = c
-        supp_out[edge] = so
-        supp_in[edge] = si
-    if pairs is None:
-        pairs = [(u, v) for u in sorted(scene.core,
-                                        key=scene.vertex_sort_key)
-                 for v in sorted(scene.core, key=scene.vertex_sort_key)] \
-            if scene.is_finite else list(
-                {(u, v) for u in scene.core for v in scene.core
-                 if u == v or v in scene.neighbors(u)})
-    edges_at = {}
-    for (a, b) in assignment:
-        edges_at.setdefault(a, []).append(((a, b), "out"))
-        edges_at.setdefault(b, []).append(((a, b), "in"))
-    order = []
-    placed = {x1, x2}
-    frontier = [x1, x2]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for (edge, _d) in edges_at.get(v, ()):
-                for w in edge:
-                    if w not in placed:
-                        placed.add(w)
-                        order.append(w)
-                        nxt.append(w)
-        frontier = nxt
-    if len(placed) != pattern.vertex_count:
+    with the two marked vertices pinned.  Returns a pair function, its
+    nonzero entries in sorted pair order.
+
+    A map of nonzero weight is a homomorphism of the glued pattern (the
+    assigned edges) into the support graph (an edge {u, v} for every
+    nonzero (u, v) of an assigned function), so the sum runs over the
+    rows of `hom_rows`; the weights are multiplied as given, so
+    Fraction values stay exact.  Raises BudgetExceeded as hom_rows
+    does."""
+    _check_finite(target)
+    glued = FiniteGraph(pattern.vertex_count, assignment)
+    dist = all_pairs_distances(glued)
+    if any(dist[x1][v] < 0 and dist[x2][v] < 0
+           for v in range(pattern.vertex_count)):
         raise ValidationError("pattern vertex not connected to the pins")
-
-    out = {}
-    for (i, j) in pairs:
-        phi = {x1: i, x2: j}
-
-        def weight_if_complete(v, cand):
-            acc = 1
-            for (edge, _d) in edges_at.get(v, ()):
-                a, b = edge
-                other = b if a == v else a
-                if other not in phi and other != v:
-                    continue
-                iu = cand if a == v else phi[a]
-                iv = cand if b == v else phi[b]
-                w = assignment[edge].get((iu, iv), 0)
-                if not w:
-                    return 0
-                acc *= w
-            return acc
-
-        def extend(idx, acc):
-            nonlocal total
-            if idx == len(order):
-                total += acc
-                return
-            v = order[idx]
-            cands = None
-            for (edge, _d) in edges_at.get(v, ()):
-                a, b = edge
-                other = b if a == v else a
-                if other not in phi:
-                    continue
-                if a == v:
-                    here = set(supp_in[edge].get(phi[b], {}))
-                else:
-                    here = set(supp_out[edge].get(phi[a], {}))
-                cands = here if cands is None else cands & here
-            if cands is None:
-                raise ValidationError(
-                    "pattern vertex without placed neighbor")
-            for cand in cands:
-                w = weight_if_complete(v, cand)
-                if w:
-                    phi[v] = cand
-                    extend(idx + 1, acc * w)
-                    del phi[v]
-
-        # fixed edges among already-placed vertices
-        base = 1
+    support = FiniteGraph(target.vertex_count,
+                          [p for fn in assignment.values()
+                           for p, c in fn.items() if c])
+    total = {}
+    for row in hom_rows(glued, support,
+                        quantiso.SIGNATURE_BUDGET_BYTES).tolist():
+        w = 1
         for (a, b), fn in assignment.items():
-            if a in phi and b in phi:
-                base *= fn.get((phi[a], phi[b]), 0)
-        total = 0
-        if base:
-            if order:
-                extend(0, base)
-            else:
-                total = base
-        if total:
-            out[(i, j)] = total
-    return out
+            w *= fn.get((row[a], row[b]), 0)
+        key = (row[x1], row[x2])
+        total[key] = total.get(key, 0) + w
+    return {p: total[p] for p in sorted(total) if total[p]}
 
 
 # ---------------------------------------------------------------------------
@@ -1332,7 +1237,7 @@ class ColumnLadder:
         self.category = category
         self.q = graph.vertex_count
         self.max_level = max_level
-        fe = function_engine(graph, category)
+        fe = function_engine(graph)
         self.f1_mats = []
         for fn in fe.f1_basis():
             w = np.zeros((self.q, self.q), dtype=np.int64)

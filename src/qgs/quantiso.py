@@ -218,20 +218,25 @@ def _relation_data(patterns, g):
     return rows
 
 
-def check_correspondence_psi(g1, g2, depth=6, bounds=((1, 4), (2, 3))):
+# (arity, largest pattern size) of the relation check
+PSI_BOUNDS = ((1, 4), (2, 3))
+
+
+def check_correspondence_psi(g1, g2, depth=6):
     """Bounded shadow of the relation-preserving correspondence.
 
-    For each arity n with its pattern-size bound, the rational linear
-    relations among the homomorphism matrices of the canonical pattern
-    family must coincide on both graphs (equal ranks of each side and of
-    the interleaved matrix), and the pattern Gram matrices must agree."""
+    For each arity n with its pattern-size bound in PSI_BOUNDS, the
+    rational linear relations among the homomorphism matrices of the
+    canonical pattern family must coincide on both graphs (equal ranks
+    of each side and of the interleaved matrix), and the pattern Gram
+    matrices must agree."""
     verdict = planar_iso_test(g1, g2, depth)
     report = {"verdict": verdict, "arities": {}, "passed": True}
     if not verdict.indistinguishable:
         report["passed"] = False
         report["reason"] = "distinguished at the class stage"
         return report
-    for arity, max_vertices in bounds:
+    for arity, max_vertices in PSI_BOUNDS:
         patterns = _labelled_patterns(max_vertices, arity)
         rows1 = _relation_data(patterns, g1)
         rows2 = _relation_data(patterns, g2)

@@ -186,7 +186,7 @@ def _letter_windows(spec, provider, arity):
     return TupleWindow(arity + 1, tuples), labels
 
 
-def fiber_matrix(k, spec, vertex_budget=None):
+def fiber_matrix(k, spec):
     """Exact matrix of a path-labeled bi-labeled graph for a group.
 
     The graph must be connected with label walks sharing both end
@@ -197,8 +197,7 @@ def fiber_matrix(k, spec, vertex_budget=None):
                               "connected graph")
     if not is_path_labeled(k):
         raise ValidationError("labels must be paths in the graph")
-    provider = (cayley_graph(spec) if vertex_budget is None
-                else cayley_graph(spec, vertex_budget=vertex_budget))
+    provider = cayley_graph(spec)
     n, m = k.n - 1, k.m - 1
     rows, row_names = _letter_windows(spec, provider, n)
     cols, col_names = _letter_windows(spec, provider, m)

@@ -336,6 +336,16 @@ def test_malformed_graph_cites_line(files, capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_negative_vertex_count_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "negative.graph"
+    bad.write_text("finite -3\n")
+    for argv in (["orbits"], ["dims"], ["haar-check"],
+                 ["planar-iso", "--graph", str(bad)]):
+        code, doc, err = run(capsys, argv + ["--graph", str(bad)])
+        assert code == 1 and doc is None
+        assert "graph file: vertex count -3 is negative" in err
+
+
 def test_missing_input_flag(capsys):
     code, _, err = run(capsys, ["orbits"])
     assert code == 1
@@ -361,7 +371,9 @@ def test_usage_errors_exit_1(files, capsys):
     # usage error
     for argv, flag in ((["orbits", "--bogus"], "--bogus"),
                        (["planar-iso", "--graph", files["c4"], "--graph",
-                         files["c4"], "--category", "all"], "--category")):
+                         files["c4"], "--category", "all"], "--category"),
+                       (["mu", "--provider", files["gp3"], "--category",
+                         "all"], "--category")):
         code, doc, err = run(capsys, argv)
         assert code == 1 and doc is None
         assert flag in err
@@ -388,7 +400,7 @@ def test_each_command_takes_its_flags(name):
 
 
 def test_flag_table_size():
-    assert sum(len(flags) for _, flags, _ in COMMANDS.values()) == 33
+    assert sum(len(flags) for _, flags, _ in COMMANDS.values()) == 32
     assert "--budget-closure" not in FLAGS
 
 

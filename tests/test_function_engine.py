@@ -359,7 +359,7 @@ def test_finite_orbits_are_exact_in_one_round(monkeypatch):
     orb = ms.quantum_orbits(ORBITS_GRAPHS[3])
     assert orb.exactness == "exact"
     assert orb.matches_classical
-    assert ms.function_engine(ORBITS_GRAPHS[3], "all").rounds == 0
+    assert ms.function_engine(ORBITS_GRAPHS[3]).rounds == 0
 
 
 def test_finite_engine_builds_no_ratspan(monkeypatch):

@@ -380,7 +380,7 @@ def test_edge_substitute_with_adjacency_recovers_pattern_counts():
 
 def test_edge_substitute_lands_in_pair_span():
     g = c4()
-    fe = ms.function_engine(g, "planar")
+    fe = ms.function_engine(g)
     k = FiniteGraph(3, [(0, 1), (1, 2)])
     adj = {(u, v): 1 for u in range(4) for v in g.neighbors(u)}
     assign = {(0, 1): adj, (1, 2): adj}
@@ -401,6 +401,108 @@ def test_path_and_lambda_projections():
     lp = ms.lambda_projection(g, 1, 2)
     # every pair of C4 vertices is within distance 2
     assert len(lp) == 16
+
+
+def brute_edge_substitute(pattern, x1, x2, assignment, q):
+    """Reference: the sum over all q^n vertex maps of the product of the
+    assigned edge values, with nothing pruned."""
+    out = {}
+    for phi in product(range(q), repeat=pattern.vertex_count):
+        w = 1
+        for (a, b), fn in assignment.items():
+            w *= fn.get((phi[a], phi[b]), 0)
+        out[(phi[x1], phi[x2])] = out.get((phi[x1], phi[x2]), 0) + w
+    return {p: c for p, c in out.items() if c}
+
+
+def brute_walks(q, n, step):
+    """Reference: the diagonal indicator of the (n + 1)-tuples whose
+    consecutive entries all satisfy step."""
+    return {(t, t): 1 for t in product(range(q), repeat=n + 1)
+            if all(step(a, b) for a, b in zip(t, t[1:]))}
+
+
+def random_graph(rng, q, p):
+    """A random graph on q vertices with edge probability p and a loop
+    at each vertex with probability 1/4."""
+    return FiniteGraph(q, [(u, v) for u in range(q) for v in range(u, q)
+                           if rng.random() < (p if u != v else 0.25)])
+
+
+def test_edge_substitute_matches_brute_force():
+    import random
+    rng = random.Random(7)
+    weights = [1, 2, -1, 3, Fraction(1, 2)]
+    for case in range(80):
+        q = rng.randint(1, 5)
+        g = random_graph(rng, q, 0.5)
+        n = rng.randint(1, 4)
+        # a random tree on the pattern vertices, extra edges closing
+        # cycles, a loop or two, and mixed orientations
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u, n)
+                  if rng.random() < 0.2}
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+        assign = {e: {(u, v): rng.choice(weights)
+                      for u in range(q) for v in range(q)
+                      if rng.random() < (0.9 if g.has_edge(u, v)
+                                         else 0.2)}
+                  for e in edges}
+        x1, x2 = rng.randrange(n), rng.randrange(n)
+        k = FiniteGraph(n, edges)
+        got = ms.edge_substitute(k, x1, x2, assign, g)
+        ref = brute_edge_substitute(k, x1, x2, assign, q)
+        assert got == ref and list(got) == sorted(ref), case
+    with pytest.raises(ValidationError, match="not connected to the pins"):
+        ms.edge_substitute(FiniteGraph(3, [(1, 2)]), 0, 0,
+                           {(1, 2): {(0, 1): 1}}, p3())
+
+
+def test_edge_substitute_pinned_twice_is_diagonal():
+    # both pins on the vertex of a one-edge pattern: the entry at (i, i)
+    # is the degree of i, and every entry off the diagonal is 0
+    g = p3()
+    adj = {(u, v): 1 for u in range(3) for v in g.neighbors(u)}
+    got = ms.edge_substitute(FiniteGraph(2, [(0, 1)]), 0, 0,
+                             {(0, 1): adj}, g)
+    assert got == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
+
+
+def test_projections_match_brute_force():
+    import random
+    rng = random.Random(11)
+    for case in range(40):
+        q = rng.randint(1, 5)
+        g = random_graph(rng, q, 0.4)
+        n, lam = rng.randint(0, 3), rng.randint(0, 3)
+        # distances by Floyd-Warshall over the edges
+        inf = q + 1
+        d = [[0 if u == v else 1 if g.has_edge(u, v) else inf
+              for v in range(q)] for u in range(q)]
+        for w in range(q):
+            for u in range(q):
+                for v in range(q):
+                    d[u][v] = min(d[u][v], d[u][w] + d[w][v])
+        got = ms.path_projection(g, n)
+        ref = brute_walks(q, n, g.has_edge)
+        assert got == ref and list(got) == sorted(ref), case
+        got = ms.lambda_projection(g, n, lam)
+        ref = brute_walks(q, n, lambda a, b: d[a][b] <= lam)
+        assert got == ref and list(got) == sorted(ref), case
+
+
+def test_projections_and_substitution_refuse_providers(monkeypatch):
+    tree = tree_provider(3)
+    for call in (lambda: ms.path_projection(tree, 2),
+                 lambda: ms.lambda_projection(tree, 2, 1),
+                 lambda: ms.edge_substitute(FiniteGraph(2, [(0, 1)]), 0, 1,
+                                            {(0, 1): {}}, tree)):
+        with pytest.raises(ValidationError, match="finite graph"):
+            call()
+    # the walks come from the budgeted join, so a long path exits 2
+    monkeypatch.setattr(ms.quantiso, "SIGNATURE_BUDGET_BYTES", 1000)
+    with pytest.raises(BudgetExceeded):
+        ms.path_projection(c4(), 6)
 
 
 def test_higher_arity_refused_on_windows():
