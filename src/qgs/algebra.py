@@ -21,10 +21,11 @@ vertex-weight ratios.
 Two routes compute the kernel, on one tuple per Aut(G)-orbit, since
 invariant loop functions are Aut-invariant.  The Gram route projects
 onto the span generated by the column ladder: per basepoint orbit, an
-orbit-weighted Gram matrix of the level's basis is inverted.  The orbit
-route serves graphs that `morspace.classical_certificate` certifies, and
-builds no ladder.  Let u be the fundamental representation of the
-quantum group whose intertwiners the category generates (QAut(G) for
+orbit-weighted Gram matrix of the level's basis is inverted, on the
+ladder the certificate built to level 5, extended.  The orbit route
+serves graphs that `morspace.classical_certificate` certifies, and
+builds no ladder past level 5.  Let u be the fundamental representation
+of the quantum group whose intertwiners the category generates (QAut(G) for
 category "planar"); it contains Aut(G), because every generated map
 commutes with the automorphisms.
 
@@ -61,11 +62,10 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import FiniteGraph, ValidationError, all_pairs_distances
-from .morspace import (ColumnLadder, SpanModP, _floatify,
-                       classical_certificate, generate_mor, ibf_basis,
-                       least_images, mat_adjoint, mat_mul, mat_tilde,
-                       minimal_projections, mu_assignment, quantum_orbits,
-                       rel_tensor)
+from .morspace import (SpanModP, _floatify, classical_certificate,
+                       generate_mor, ibf_basis, least_images, mat_adjoint,
+                       mat_mul, mat_tilde, minimal_projections, mor_engine,
+                       mu_assignment, quantum_orbits, rel_tensor)
 
 
 def word(i, j, coef=1):
@@ -133,18 +133,20 @@ def _orbit_table(least, members, q):
 class _GramKernel:
     """Kernels of the projection onto the ladder's generated spans.
 
-    The level-M ladder rows at the orbit representatives based in a are
-    re-reduced to a corner basis T.  Its Gram matrix at each basepoint,
-    T diag(the orbits' tuples there) T^T, must be constant over a, so it
-    is G = T diag(per_base) T^T; the kernel T^T G^-1 T is kept as two
+    The ladder is `mor_engine(graph, category)`'s, extended to max_level,
+    and only the prefix `sizes` it held then is read.  The level-M ladder
+    rows at the orbit representatives based in a are re-reduced to a
+    corner basis T.  Its Gram matrix at each basepoint, T diag(the
+    orbits' tuples there) T^T, must be constant over a, so it is
+    G = T diag(per_base) T^T; the kernel T^T G^-1 T is kept as two
     factors with one row per orbit, and a zero row that index -1 reads."""
 
     def __init__(self, graph, category, max_level, orbits):
         self.q = graph.vertex_count
         self.orbits = orbits
-        self.ladder = ColumnLadder(graph, category, max_level=max_level)
-        # the untrusted top level is only needed while closing
-        del self.ladder.levels[max_level], self.ladder.least[max_level]
+        self.ladder = mor_engine(graph, category).ladder
+        self.ladder.extend(max_level)
+        self.sizes = {M: len(arrs) for M, arrs in self.ladder.levels.items()}
         self._corners = {}
 
     def _corner(self, M, a):
@@ -153,8 +155,8 @@ class _GramKernel:
         index, reps, _per_base = _orbit_table(
             self.ladder.least[M], self.orbits.classes[a], self.q)
         span = SpanModP(len(reps))
-        rows = [vec for vec in (arr.ravel()[reps]
-                                for arr in self.ladder.basis(M))
+        rows = [vec for vec in (arr.ravel()[reps] for arr in
+                                self.ladder.levels[M][:self.sizes[M]])
                 if vec.any() and span.add(vec)]
         if not rows:
             raise ValidationError("empty corner at level %d" % M)
@@ -228,9 +230,9 @@ class HaarSystem:
     max_level bounds the column-space ladder; levels up to max_level - 1
     are trusted, so words of length up to max_level - 2 can be
     integrated.  `auts` is Aut(G) when `classical_certificate` holds:
-    the kernels are then orbit-count ratios and no ladder is built.
-    Otherwise it is None and the kernels come from the ladder.  The
-    depth bound holds on both routes."""
+    the kernels are then orbit-count ratios and no ladder is built past
+    level 5.  Otherwise it is None and the kernels come from that
+    ladder, extended.  The depth bound holds on both routes."""
 
     def __init__(self, graph, category="planar", max_level=7):
         if not isinstance(graph, FiniteGraph):

@@ -21,7 +21,8 @@ Mor(M, 0) as dense integer arrays, seeded by the function engine's
 vertex functions at levels 0 and 1 and its pair functions at level 2.
 Every Mor(n, m) with n + m <= MOR_LEVEL is read off ladder level n + m
 by rotation (`MorEngine`): in path form both spaces have the same n + m
-free coordinates around one closed loop.
+free coordinates around one closed loop.  Each graph and category has
+one ladder, the `MorEngine`'s, which `qgs.algebra` extends upwards.
 
 On finite graphs the seeds are pinned homomorphism counts of the planar
 patterns of `quantiso.planar_patterns`.  Category "planar" spans the
@@ -539,18 +540,19 @@ def _unfold(arr, n, m):
 
 class MorEngine:
     """Generated intertwiner spans at every arity pair with n + m <=
-    MOR_LEVEL, read off the column ladder by rotation.  `items` caches
-    the unfolded bases of the pairs requested so far."""
+    MOR_LEVEL, read off the column ladder by rotation.  The engine keeps
+    its ladder, built to MOR_LEVEL + 1, for later extension; `sizes`
+    holds each served level's length when the engine was made, and only
+    that prefix is read.  `items` caches the unfolded bases of the pairs
+    requested so far."""
 
     def __init__(self, graph, category="planar"):
-        self.graph = graph
-        self.category = category
         self.scene = function_engine(graph).scene
-        ladder = ColumnLadder(graph, category, max_level=MOR_LEVEL + 1)
-        self.rounds = ladder.rounds
-        self.stable = ladder.stable
-        # the headroom level is only needed while closing
-        self.levels = {M: ladder.levels[M] for M in range(MOR_LEVEL + 1)}
+        self.ladder = ColumnLadder(graph, category, max_level=MOR_LEVEL + 1)
+        self.rounds = self.ladder.rounds
+        self.stable = self.ladder.stable
+        self.sizes = {M: len(self.ladder.levels[M])
+                      for M in range(MOR_LEVEL + 1)}
         self.items = {}
 
     def basis(self, n, m):
@@ -558,8 +560,9 @@ class MorEngine:
             raise ValidationError("arity pair (%d, %d) beyond n + m <= %d"
                                   % (n, m, MOR_LEVEL))
         if (n, m) not in self.items:
-            self.items[(n, m)] = [_unfold(a, n, m)
-                                  for a in self.levels[n + m]]
+            M = n + m
+            self.items[(n, m)] = [_unfold(a, n, m) for a in
+                                  self.ladder.levels[M][:self.sizes[M]]]
         return list(self.items[(n, m)])
 
 
@@ -729,11 +732,11 @@ def classical_certificate(graph, category="planar"):
     symmetry."""
     if graph.vertex_count > DEFAULT_AUT_LIMIT:
         return None
-    auts, orbits = classical_aut(graph)
-    least = least_images(auts, graph.vertex_count, 4)
-    burnside = int(np.count_nonzero(least == np.arange(len(least))))
-    if len(mor_engine(graph, category).levels[4]) != burnside:
+    eng = mor_engine(graph, category)
+    # the ladder's level-4 representatives are one per Aut-orbit on V^4
+    if eng.sizes[4] != len(eng.ladder.reps[4]):
         return None
+    auts, orbits = classical_aut(graph)
     found = quantum_orbits(graph, category).classes
     if sorted(map(sorted, found)) != orbits:
         return None
@@ -997,6 +1000,8 @@ def mu_assignment(target, window=None, e=None):
 def _walks(graph, n):
     """Diagonal indicator of the homomorphisms of the path on n + 1
     vertices into `graph`, in the lexicographic order of `hom_rows`."""
+    if n < 0:
+        raise ValidationError("walk length n = %d is negative" % n)
     rows = hom_rows(path_graph(n + 1), graph,
                     quantiso.SIGNATURE_BUDGET_BYTES)
     return {(w, w): 1 for w in map(tuple, rows.tolist())}
@@ -1010,8 +1015,8 @@ def _check_finite(target):
 
 def path_projection(target, n):
     """Indicator of tuples that walk along edges for n steps: the rows
-    of `hom_rows` of the path on n + 1 vertices.  Raises BudgetExceeded
-    as hom_rows does."""
+    of `hom_rows` of the path on n + 1 vertices.  Raises ValidationError
+    for a negative n, and BudgetExceeded as hom_rows does."""
     _check_finite(target)
     return _walks(target, n)
 
@@ -1229,14 +1234,14 @@ class ColumnLadder:
     Past DEFAULT_AUT_LIMIT vertices no automorphism is used, and every
     tuple is its own representative.
 
-    Raises BudgetExceeded when an f0/f1 entry or an accepted level entry
+    Construction extends an empty ladder (`extend`).  Raises
+    BudgetExceeded when an f0/f1 entry or an accepted level entry
     reaches LADDER_ENTRY_BOUND in magnitude."""
 
     def __init__(self, graph, category="planar", max_level=6):
         self.graph = graph
         self.category = category
         self.q = graph.vertex_count
-        self.max_level = max_level
         fe = function_engine(graph)
         self.f1_mats = []
         for fn in fe.f1_basis():
@@ -1252,19 +1257,38 @@ class ColumnLadder:
                 w[u] = c
             self._check_entries(w)
             self.f0_vecs.append(w)
-        auts = (classical_aut(graph)[0] if self.q <= DEFAULT_AUT_LIMIT
-                else [])
-        self.least = {M: least_images(auts, self.q, max(M, 1))
-                      for M in range(max_level + 1)}
-        self.reps = {M: np.flatnonzero(least == np.arange(len(least)))
-                     for M, least in self.least.items()}
-        self.levels = {M: [] for M in range(max_level + 1)}
+        self.auts = (classical_aut(graph)[0] if self.q <= DEFAULT_AUT_LIMIT
+                     else [])
+        self.max_level = -1
+        self.stable = True
+        self.least, self.reps, self.levels = {}, {}, {}
+        self.extend(max_level)
+
+    def extend(self, max_level):
+        """Close the ladder up to level max_level.  Stored arrays are
+        kept, and they are the first frontier; if the ladder was stable,
+        its closure offered their candidates up to the old top level, so
+        the first round builds only those above it.  Levels only grow,
+        and `max_level` moves once the closure has returned."""
+        top = self.max_level
+        if max_level <= top:
+            return
+        for M in range(top + 1, max_level + 1):
+            self.least[M] = least_images(self.auts, self.q, max(M, 1))
+            self.reps[M] = np.flatnonzero(
+                self.least[M] == np.arange(len(self.least[M])))
+            self.levels[M] = []
         self.spans = {M: SpanModP(len(self.reps[M]))
                       for M in range(max_level + 1)}
-        self._seed()
-        self._close()
-        # the spans' seen-sets are only needed while closing
-        del self.spans
+        try:
+            for M in range(top + 1):
+                for arr in self.levels[M]:
+                    self.spans[M].add(arr.ravel()[self.reps[M]])
+            self._seed(max_level)
+            self._close(max_level, top if self.stable else -1)
+        finally:
+            del self.spans  # the seen-sets are only needed while closing
+        self.max_level = max_level
 
     # level M arrays have shape (q,) * max(M, 1); index t is loop
     # coordinate i_t, and the loop closes with i_M == i_0.
@@ -1289,11 +1313,11 @@ class ColumnLadder:
             return True
         return False
 
-    def _seed(self):
+    def _seed(self, max_level):
         for fn in self.f0_vecs:
             self._add(0, fn)
             self._add(1, fn)
-        if self.max_level >= 2:
+        if max_level >= 2:
             for w in self.f1_mats:
                 self._add(2, w)
 
@@ -1352,7 +1376,8 @@ class ColumnLadder:
         np.moveaxis(out, (0, kx), (0, 1))[idx, idx] = prod
         return out
 
-    def _close(self):
+    def _close(self, max_level, floor):
+        # the first round builds no candidate at level `floor` or below
         self.rounds = 0
         self.stable = False
         frontier = {M: list(self.levels[M]) for M in self.levels}
@@ -1362,15 +1387,15 @@ class ColumnLadder:
 
             def emit(M, op, *args):
                 # a full level would reject the candidate: do not build it
-                if (0 <= M <= self.max_level and not self.spans[M].full
+                if (floor < M <= max_level and not self.spans[M].full
                         and self._add(M, op(*args))):
                     added[M].append(self.levels[M][-1])
 
-            for M in range(self.max_level + 1):
+            for M in range(max_level + 1):
                 for arr in frontier[M]:
                     if M >= 2:
                         emit(M, self._rotate, arr, M)
-                        for ky in range(1, self.max_level - M + 1):
+                        for ky in range(1, max_level - M + 1):
                             for other in self.levels[ky]:
                                 emit(M + ky, self._wedge, arr, M, other, ky)
                                 emit(M + ky, self._wedge, other, ky, arr, M)
@@ -1386,7 +1411,7 @@ class ColumnLadder:
                         for t in range(max(M, 1)):
                             for f in self.f0_vecs:
                                 emit(M, self._scale_vertex, arr, M, t, f)
-                    if M >= 1 and M < self.max_level:
+                    if M >= 1 and M < max_level:
                         for p in range(M + 1):
                             emit(M + 1, self._dup, arr, M, p)
                     if M >= 2:
@@ -1397,9 +1422,7 @@ class ColumnLadder:
                         for p in range(1, M - 1):
                             emit(M - 1, self._merge, arr, M, p)
             frontier = added
+            floor = -1
             if not any(added.values()):
                 self.stable = True
                 break
-
-    def basis(self, M):
-        return self.levels[M]

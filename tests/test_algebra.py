@@ -477,3 +477,29 @@ def test_gram_corner_has_one_row_per_orbit(make, rows_at_6):
             if M == 6:
                 assert len(reps) == rows_at_6 < q ** M
 
+
+def test_gram_route_extends_the_certificate_ladder(monkeypatch):
+    # K4 fails the certificate: both Haar systems extend the ladder that
+    # the certificate built to level 5, and no other ladder is made
+    from qgs import algebra, morspace
+    monkeypatch.setattr(morspace, "_mor_engines", {})
+    monkeypatch.setattr(algebra, "_systems", {})
+    made = []
+
+    class Counted(morspace.ColumnLadder):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(morspace, "ColumnLadder", Counted)
+    g = complete_graph(4)
+    six = haar_system(g, "planar", 6)
+    seven = haar_system(g, "planar", 7)
+    assert six.auts is None and seven.auts is None
+    assert len(made) == 1
+    ladder = morspace.mor_engine(g, "planar").ladder
+    assert six._kernel.ladder is seven._kernel.ladder is ladder
+    assert ladder.max_level == 7
+    # level 6 grew when the ladder was extended to 7, but the level-6
+    # system still reads the prefix it was made with
+    assert six._kernel.sizes[6] == 131 < seven._kernel.sizes[6] == 132

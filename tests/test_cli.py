@@ -195,7 +195,7 @@ def test_haar_check_ladder_entry_bound_on_the_gram_route(files, capsys,
                                                           monkeypatch):
     # K4 fails the certificate and takes the Gram route; its entries are
     # all 1, and with its MorEngine built beforehand the bound is met by
-    # the Gram route's own ladder
+    # the Gram route's extension of that engine's ladder past level 5
     check_ladder_entry_bound(files, capsys, monkeypatch, "k4", 1,
                              prebuilt=True)
 

@@ -505,6 +505,14 @@ def test_projections_and_substitution_refuse_providers(monkeypatch):
         ms.path_projection(c4(), 6)
 
 
+def test_projections_refuse_a_negative_length():
+    for call in (lambda n: ms.path_projection(c4(), n),
+                 lambda n: ms.lambda_projection(c4(), n, 1)):
+        for n in (-1, -2):
+            with pytest.raises(ValidationError, match="n = %d" % n):
+                call(n)
+
+
 def test_higher_arity_refused_on_windows():
     with pytest.raises(ValidationError):
         ms.generate_mor(tree_provider(3), 2, 2,
@@ -742,14 +750,14 @@ UNCERTIFIED = [k4, c4, k5]
 def test_classical_certificate_holds_without_quantum_symmetry(make):
     g = make()
     assert ms.classical_certificate(g) == classical_aut(g)[0]
-    assert len(ms.mor_engine(g).levels[4]) == classical_loop_orbits(g, 4)
+    assert ms.mor_engine(g).sizes[4] == classical_loop_orbits(g, 4)
 
 
 @pytest.mark.parametrize("make", UNCERTIFIED)
 def test_classical_certificate_fails_with_quantum_symmetry(make):
     g = make()
     assert ms.classical_certificate(g) is None
-    assert len(ms.mor_engine(g).levels[4]) < classical_loop_orbits(g, 4)
+    assert ms.mor_engine(g).sizes[4] < classical_loop_orbits(g, 4)
 
 
 @pytest.mark.parametrize("make", CERTIFIED + UNCERTIFIED)
@@ -764,3 +772,48 @@ def test_classical_certificate_survives_relabeling(make):
     assert held == (make in CERTIFIED)
     got = ms.classical_certificate(moved)
     assert got == (classical_aut(moved)[0] if held else None)
+
+
+# one ladder per graph and category, extended instead of rebuilt
+
+def stacked_rank(lad, M, *bases):
+    """Rank modulo the span prime of the level-M arrays of several
+    bases together, in the ladder's orbit coordinates."""
+    span = ms.SpanModP(len(lad.reps[M]))
+    for arrs in bases:
+        for arr in arrs:
+            span.add(arr.ravel()[lad.reps[M]])
+    return span.rank
+
+
+@pytest.mark.parametrize("category", ["planar", "all"])
+@pytest.mark.parametrize("make, low, high", [(k4, 5, 7), (p3, 5, 7),
+                                             (c4, 5, 6)],
+                         ids=["K4", "P3", "C4"])
+def test_extended_ladder_equals_a_fresh_build(make, low, high, category):
+    lad = ms.ColumnLadder(make(), category, max_level=low)
+    lad.extend(high)
+    fresh = ms.ColumnLadder(make(), category, max_level=high)
+    assert lad.max_level == high and lad.stable and fresh.stable
+    for M in range(high + 1):
+        # equal ranks, and the two bases span one space
+        assert len(lad.levels[M]) == len(fresh.levels[M])
+        assert stacked_rank(lad, M, lad.levels[M], fresh.levels[M]) == \
+            len(fresh.levels[M])
+    if make is k4 and category == "planar":
+        assert [len(lad.levels[M]) for M in range(8)] == \
+            [1, 1, 2, 5, 14, 42, 132, 428]
+
+
+def test_stopped_extension_keeps_its_level_and_retries(monkeypatch):
+    lad = ms.ColumnLadder(k4(), "planar", max_level=5)
+    monkeypatch.setattr(ms, "LADDER_ENTRY_BOUND", 1)
+    with pytest.raises(BudgetExceeded, match="ladder entry bound 1"):
+        lad.extend(7)
+    assert lad.max_level == 5
+    assert not hasattr(lad, "spans")
+    monkeypatch.undo()
+    lad.extend(7)
+    assert lad.max_level == 7 and lad.stable
+    assert [len(lad.levels[M]) for M in range(8)] == \
+        [1, 1, 2, 5, 14, 42, 132, 428]
