@@ -191,21 +191,24 @@ class _GramKernel:
 class _OrbitKernel:
     """Kernels of the projection onto the Aut-invariants, from orbit
     counts: K[p, q] = 1 / per_base = |a| / |O| when p and q lie in one
-    Aut-orbit O of loop tuples, else 0."""
+    Aut-orbit O of loop tuples, else 0.  Each level's least images are
+    computed once, or taken from `least`, the certificate ladder's."""
 
-    def __init__(self, auts, q, orbits):
+    def __init__(self, auts, q, orbits, least):
         self.auts = auts
         self.q = q
         self.orbits = orbits
+        self._least = dict(least)
         self._tables = {}
 
     def _table(self, M, a):
         # the orbit index of each flat tuple, and each orbit's kernel
         # followed by the 0 that index -1 reads
         if (M, a) not in self._tables:
+            if M not in self._least:
+                self._least[M] = least_images(self.auts, self.q, max(M, 1))
             index, _reps, per_base = _orbit_table(
-                least_images(self.auts, self.q, max(M, 1)),
-                self.orbits.classes[a], self.q)
+                self._least[M], self.orbits.classes[a], self.q)
             self._tables[M, a] = index, np.append(1 / per_base, 0.0)
         return self._tables[M, a]
 
@@ -253,7 +256,9 @@ class HaarSystem:
             self._kernel = _GramKernel(graph, category, max_level,
                                        self.orbits)
         else:
-            self._kernel = _OrbitKernel(self.auts, self.q, self.orbits)
+            self._kernel = _OrbitKernel(
+                self.auts, self.q, self.orbits,
+                mor_engine(graph, category).ladder.least)
         # the admissibility rules read these tables, compared once: the
         # orbit of each vertex, and for each ordered pair (v, w) the
         # class of its weight ratio mu[w] / mu[v]

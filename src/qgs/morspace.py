@@ -49,10 +49,13 @@ generates is fixed by the classical automorphisms (Aut lies in QAut), so
 its values on the smallest tuple of each Aut-orbit determine it:
 restricting to those representatives is injective on the invariants,
 over Q and modulo a prime alike, and every accept decision is the one
-the full vectors would give.  A level whose rank reaches the number of
-representatives (the Burnside count) holds every invariant vector, so
-the ladder builds no further candidate for it.  When level 4 does, the
-quantum group of the category is Aut(G) itself (`classical_certificate`).
+the full vectors would give.  So each candidate is computed only at the
+representatives, gathered from its operands' values there, and only an
+accepted candidate is built in full.  A level whose rank reaches the
+number of representatives (the Burnside count) holds every invariant
+vector, so the ladder computes no further candidate for it.  When
+level 4 does, the quantum group of the category is Aut(G) itself
+(`classical_certificate`).
 """
 
 from collections import deque
@@ -1148,13 +1151,15 @@ LADDER_ENTRY_BOUND = 2 ** 31
 class SpanModP:
     """Incremental row space modulo a prime, for rank decisions.
 
-    Inputs are integer arrays of `dim` entries in any shape; zero
-    entries are ignored.  Every input is remembered by the bytes of its
-    nonzero positions and values, and a repeat is rejected without
-    eliminating.  This is exact: after the first offer the vector lies
-    in the span, and a span only grows, so the repeat would reduce to
-    zero anyway.  Once the rank reaches `dim` the span is the whole
-    space, and every input is rejected at once."""
+    Inputs are integer arrays of `dim` entries in any shape, such as a
+    column-ladder candidate's orbit row.  A zero input is rejected at
+    once.  Every other input is remembered by the bytes of its nonzero
+    positions and values, and a repeat is rejected without eliminating.
+    This is exact: after the first offer the vector lies in the span,
+    and a span only grows, so the repeat would reduce to zero anyway.
+    Once the rank reaches `dim` the span is the whole space, and every
+    input is rejected at once.  Elimination reduces one input at a time
+    against the stored rows, in place."""
 
     def __init__(self, dim):
         self.dim = dim
@@ -1167,7 +1172,9 @@ class SpanModP:
             return False
         p = _SPAN_PRIME
         v = np.asarray(vec, dtype=np.int64).ravel()
-        nz = np.flatnonzero(v)
+        nz = v.nonzero()[0]
+        if len(nz) == 0:
+            return False
         # positions and values have equal byte lengths, so the join is
         # unambiguous
         key = nz.tobytes() + v[nz].tobytes()
@@ -1178,7 +1185,8 @@ class SpanModP:
         for row, c in zip(self.rows, self.pivots):
             f = v[c]
             if f:
-                v = (v - f * row) % p
+                v -= f * row
+                v %= p
         nz = np.nonzero(v)[0]
         if len(nz) == 0:
             return False
@@ -1215,6 +1223,9 @@ def least_images(auts, q, k):
 
 
 LADDER_ROUNDS = 10
+# A ladder raises BudgetExceeded before its stored level arrays and its
+# per-level least-image and orbit-index tables would take more bytes.
+LADDER_BUDGET_BYTES = 2 ** 31
 
 
 class ColumnLadder:
@@ -1224,44 +1235,54 @@ class ColumnLadder:
     the least image (`least_images`) of every flat index of the free
     coordinates V^max(M, 1) under the classical automorphism group,
     `reps[M]` the indices equal to theirs, one per orbit, and level M's
-    span sees only a candidate's values there.  The seeds and every
-    operation of the closure commute with Aut, so every candidate is
-    Aut-invariant and its restriction to `reps[M]` is injective, over Q
-    and modulo the prime: each accept decision, and so each stored
-    array, is the one the full arrays would give.  The span's dimension
-    is then the Burnside count, so a level whose rank reaches it holds
-    every invariant vector, and the closure builds no candidate for it.
-    Past DEFAULT_AUT_LIMIT vertices no automorphism is used, and every
-    tuple is its own representative.
+    span sees only a candidate's values there, its orbit row.  The
+    seeds and every operation of the closure commute with Aut, so every
+    candidate is Aut-invariant and its restriction to `reps[M]` is
+    injective, over Q and modulo the prime: each accept decision, and so
+    each stored array, is the one the full arrays would give.  The
+    span's dimension is then the Burnside count, so a level whose rank
+    reaches it holds every invariant vector, and the closure computes no
+    candidate for it.  Past DEFAULT_AUT_LIMIT vertices no automorphism
+    is used, and every tuple is its own representative.
+
+    The closure decides each candidate on its orbit row alone, gathered
+    from the orbit rows of its operands.  Each operation has one
+    definition, its broadcast method on full arrays; its gather is that
+    method applied once to the operand level's orbit index array (each
+    tuple's orbit number plus one, so that 0 reads an empty position),
+    read at the representatives.  Only a candidate the span accepts is
+    built as a full array, by the broadcast method, and stored as int32.
 
     Construction extends an empty ladder (`extend`).  Raises
     BudgetExceeded when an f0/f1 entry or an accepted level entry
-    reaches LADDER_ENTRY_BOUND in magnitude."""
+    reaches LADDER_ENTRY_BOUND in magnitude, and before the stored level
+    arrays and the least-image and orbit-index tables would take more
+    than LADDER_BUDGET_BYTES."""
 
     def __init__(self, graph, category="planar", max_level=6):
         self.graph = graph
         self.category = category
         self.q = graph.vertex_count
         fe = function_engine(graph)
-        self.f1_mats = []
-        for fn in fe.f1_basis():
-            w = np.zeros((self.q, self.q), dtype=np.int64)
+        # the seeds, stacked: one (q, q) matrix per pair function and one
+        # (q,) vector per vertex function
+        f1, f0 = fe.f1_basis(), fe.f0_basis()
+        self.f1_mats = np.zeros((len(f1), self.q, self.q), dtype=np.int64)
+        for w, fn in zip(self.f1_mats, f1):
             for (u, v), c in fn.items():
                 w[u, v] = c
             self._check_entries(w)
-            self.f1_mats.append(w)
-        self.f0_vecs = []
-        for fn in fe.f0_basis():
-            w = np.zeros(self.q, dtype=np.int64)
+        self.f0_vecs = np.zeros((len(f0), self.q), dtype=np.int64)
+        for w, fn in zip(self.f0_vecs, f0):
             for u, c in fn.items():
                 w[u] = c
             self._check_entries(w)
-            self.f0_vecs.append(w)
         self.auts = (classical_aut(graph)[0] if self.q <= DEFAULT_AUT_LIMIT
                      else [])
         self.max_level = -1
         self.stable = True
         self.least, self.reps, self.levels = {}, {}, {}
+        self.held = 0  # bytes counted against LADDER_BUDGET_BYTES
         self.extend(max_level)
 
     def extend(self, max_level):
@@ -1274,21 +1295,52 @@ class ColumnLadder:
         if max_level <= top:
             return
         for M in range(top + 1, max_level + 1):
-            self.least[M] = least_images(self.auts, self.q, max(M, 1))
-            self.reps[M] = np.flatnonzero(
-                self.least[M] == np.arange(len(self.least[M])))
+            if M in self.levels:
+                # a stopped extension left this level: its least images
+                # are kept, and its arrays dropped
+                self.held -= sum(a.nbytes for a in self.levels[M]
+                                 if a.base is None)
+            elif M == 1:  # levels 0 and 1 both have the coordinates V
+                self.least[1], self.reps[1] = self.least[0], self.reps[0]
+            else:
+                size = self.q ** max(M, 1)
+                self._reserve(8 * size)
+                self.least[M] = least_images(self.auts, self.q, max(M, 1))
+                self.reps[M] = np.flatnonzero(self.least[M] ==
+                                              np.arange(size))
             self.levels[M] = []
-        self.spans = {M: SpanModP(len(self.reps[M]))
-                      for M in range(max_level + 1)}
         try:
-            for M in range(top + 1):
-                for arr in self.levels[M]:
-                    self.spans[M].add(arr.ravel()[self.reps[M]])
+            self._begin(max_level)
             self._seed(max_level)
             self._close(max_level, top if self.stable else -1)
         finally:
-            del self.spans  # the seen-sets are only needed while closing
+            self._end()
         self.max_level = max_level
+
+    def _begin(self, max_level):
+        """The state of a closure, which `_end` drops: each level's span,
+        re-offered its stored arrays; its orbit index array (each tuple's
+        orbit number plus one, so that 0 reads an empty position); the
+        gathers derived so far; and, for the levels up to max_level - 2
+        that wedges read as their second loop, the orbit rows of the
+        stored arrays."""
+        self.spans, self._index, self._rows, self._gathers = {}, {}, {}, {}
+        for M in range(max_level + 1):
+            self._reserve(self.least[M].nbytes)
+            self._index[M] = (np.searchsorted(self.reps[M], self.least[M])
+                              + 1).reshape(self._shape(M))
+            self.spans[M] = SpanModP(len(self.reps[M]))
+            if M <= max_level - 2:
+                self._rows[M] = []
+            for arr in self.levels[M]:
+                row = self._orbit_row(arr, M)
+                self.spans[M].add(row[1:])
+                if M in self._rows:
+                    self._rows[M].append(row)
+
+    def _end(self):
+        self.held -= sum(a.nbytes for a in self._index.values())
+        del self.spans, self._index, self._rows, self._gathers
 
     # level M arrays have shape (q,) * max(M, 1); index t is loop
     # coordinate i_t, and the loop closes with i_M == i_0.
@@ -1302,16 +1354,31 @@ class ColumnLadder:
             raise BudgetExceeded("ladder entry %d reaches the ladder entry "
                                  "bound %d" % (top, LADDER_ENTRY_BOUND))
 
-    def _add(self, M, arr):
-        vec = arr.ravel()[self.reps[M]]
-        if not vec.any():
+    def _reserve(self, nbytes):
+        if self.held + nbytes > LADDER_BUDGET_BYTES:
+            raise BudgetExceeded(
+                "the column ladder of a %d-vertex graph needs %d bytes, "
+                "over LADDER_BUDGET_BYTES = %d"
+                % (self.q, self.held + nbytes, LADDER_BUDGET_BYTES))
+        self.held += nbytes
+
+    def _offer(self, M, vec, build):
+        """Offer a level-M candidate by its orbit row `vec`; only once
+        the span accepts it is its array built (`build()`) and stored."""
+        if not self.spans[M].add(vec):
             return False
-        if self.spans[M].add(vec):
-            self._check_entries(arr)
-            # a view of a stored array stays a view
-            self.levels[M].append(arr.astype(np.int32, copy=False))
-            return True
-        return False
+        arr = build()
+        self._check_entries(arr)
+        if arr.dtype != np.int32:  # the cast below copies
+            self._reserve(4 * arr.size)
+        # a view of a stored array stays a view
+        self.levels[M].append(arr.astype(np.int32, copy=False))
+        if M in self._rows:
+            self._rows[M].append(np.append(0, vec))
+        return True
+
+    def _add(self, M, arr):
+        return self._offer(M, self._orbit_row(arr, M)[1:], lambda: arr)
 
     def _seed(self, max_level):
         for fn in self.f0_vecs:
@@ -1344,7 +1411,11 @@ class ColumnLadder:
         return arr * f.reshape(shape)
 
     def _cap(self, arr, p):
-        return arr.sum(axis=p, dtype=np.int64)
+        return self._cap_terms(arr, p).sum(axis=-1, dtype=np.int64)
+
+    def _cap_terms(self, arr, p):
+        """The terms the cap at coordinate p sums, along the last axis."""
+        return np.moveaxis(arr, p, -1)
 
     def _merge(self, arr, M, p):
         if p == M - 1:  # wrap: identify i_{M-1} with the closing i0
@@ -1376,51 +1447,126 @@ class ColumnLadder:
         np.moveaxis(out, (0, kx), (0, 1))[idx, idx] = prod
         return out
 
+    # Candidates in orbit coordinates.  `row` arguments are orbit rows
+    # led by 0 (`_orbit_row`).  Each gather is the operation's broadcast
+    # method applied to orbit index arrays (or to ones, or to the codes
+    # of a scaling's entries), read at the representatives of the
+    # candidate's level.
+
+    def _orbit_row(self, arr, M):
+        return np.concatenate(([0], self._at(arr, M)), dtype=np.int64)
+
+    def _gather(self, key, derive):
+        if key not in self._gathers:
+            self._gathers[key] = derive()
+        return self._gathers[key]
+
+    def _at(self, arr, M):
+        return np.ravel(arr)[self.reps[M]]
+
+    def _ones(self, M):
+        return np.ones(self._shape(M), dtype=np.int64)
+
+    def _moved(self, K, op, M, row, *rest):
+        """The orbit row of op(arr, *rest) at level K, for the rotation,
+        reversal, crossing, merge and dup, which read one entry of arr
+        per tuple, or none."""
+        return row[self._gather((op, M) + rest, lambda: self._at(
+            op(self._index[M], *rest), K))]
+
+    def _scaled(self, op, M, row, t, vs):
+        """The orbit rows of _scale_edge or _scale_vertex(arr, M, t, v)
+        for every v in the stack `vs`, one row each."""
+        shape = vs.shape[1:]
+        g = self._gather((op, M, t), lambda: self._at(op(
+            self._ones(M), M, t,
+            np.arange(self.q ** len(shape)).reshape(shape)), M))
+        return row[1:] * vs.reshape(len(vs), -1).take(g, axis=1)
+
+    def _capped(self, M, row, p):
+        """The orbit row of _cap(arr, p): a (B_(M-1), q) gather, summed."""
+        g = self._gather((self._cap, M, p), lambda: self._cap_terms(
+            self._index[M], p).reshape(-1, self.q)[self.reps[M - 1]])
+        return row[g].sum(axis=1)
+
+    def _wedged(self, xrow, kx, yrow, ky):
+        """The orbit row of _wedge(x, kx, y, ky): 0 where i_kx != i_0."""
+        gx, gy = self._gather((self._wedge, kx, ky), lambda: [
+            self._at(self._wedge(x, kx, y, ky), kx + ky) for x, y in
+            ((self._index[kx], self._ones(ky)),
+             (self._ones(kx), self._index[ky]))])
+        return xrow[gx] * yrow[gy]
+
     def _close(self, max_level, floor):
         # the first round builds no candidate at level `floor` or below
         self.rounds = 0
         self.stable = False
-        frontier = {M: list(self.levels[M]) for M in self.levels}
+        levels, rows = self.levels, self._rows
+        frontier = {M: range(len(levels[M])) for M in levels}
         for _ in range(LADDER_ROUNDS):
             self.rounds += 1
-            added = {M: [] for M in self.levels}
+            added = {M: [] for M in levels}
 
-            def emit(M, op, *args):
-                # a full level would reject the candidate: do not build it
-                if (floor < M <= max_level and not self.spans[M].full
-                        and self._add(M, op(*args))):
-                    added[M].append(self.levels[M][-1])
+            def is_open(K):
+                # a full level would reject every candidate
+                return floor < K <= max_level and not self.spans[K].full
+
+            def emit(K, cand, op, *args):
+                # compute the orbit row cand() only for an open level, and
+                # build the array op(*args) only once it is accepted
+                if is_open(K) and self._offer(K, cand(), lambda: op(*args)):
+                    added[K].append(len(levels[K]) - 1)
+
+            def moved(K, op, M, arr, row, *rest):
+                emit(K, lambda: self._moved(K, op, M, row, *rest),
+                     op, arr, *rest)
+
+            def scaled(op, M, arr, row, t, vs):
+                # one gather gives the candidates of every w (or f) at t;
+                # a zero candidate is rejected, so it is not offered
+                if is_open(M):
+                    cands = self._scaled(op, M, row, t, vs)
+                    for k in np.flatnonzero(cands.any(axis=1)):
+                        emit(M, lambda: cands[k], op, arr, M, t, vs[k])
+
+            def wedged(x, kx, y, ky):
+                # x and y are (array, orbit row) pairs
+                emit(kx + ky, lambda: self._wedged(x[1], kx, y[1], ky),
+                     self._wedge, x[0], kx, y[0], ky)
 
             for M in range(max_level + 1):
-                for arr in frontier[M]:
+                for i in frontier[M]:
+                    arr = levels[M][i]
+                    row = self._orbit_row(arr, M)
                     if M >= 2:
-                        emit(M, self._rotate, arr, M)
+                        moved(M, self._rotate, M, arr, row, M)
                         for ky in range(1, max_level - M + 1):
-                            for other in self.levels[ky]:
-                                emit(M + ky, self._wedge, arr, M, other, ky)
-                                emit(M + ky, self._wedge, other, ky, arr, M)
+                            for y in zip(levels[ky], rows[ky]):
+                                wedged((arr, row), M, y, ky)
+                                wedged(y, ky, (arr, row), M)
                     if self.category == "all":
                         # the crossing of two interior loop coordinates
                         for p in range(1, M - 1):
-                            emit(M, np.swapaxes, arr, p, p + 1)
+                            moved(M, np.swapaxes, M, arr, row, p, p + 1)
                     if M >= 1:
-                        emit(M, self._reverse, arr, M)
+                        moved(M, self._reverse, M, arr, row, M)
                         for t in range(M):
-                            for w in self.f1_mats:
-                                emit(M, self._scale_edge, arr, M, t, w)
-                        for t in range(max(M, 1)):
-                            for f in self.f0_vecs:
-                                emit(M, self._scale_vertex, arr, M, t, f)
+                            scaled(self._scale_edge, M, arr, row, t,
+                                   self.f1_mats)
+                        for t in range(M):
+                            scaled(self._scale_vertex, M, arr, row, t,
+                                   self.f0_vecs)
                     if M >= 1 and M < max_level:
                         for p in range(M + 1):
-                            emit(M + 1, self._dup, arr, M, p)
+                            moved(M + 1, self._dup, M, arr, row, M, p)
                     if M >= 2:
                         for p in range(1, M):
-                            emit(M - 1, self._cap, arr, p)
+                            emit(M - 1, lambda: self._capped(M, row, p),
+                                 self._cap, arr, p)
                         for p in range(M - 1, M):
-                            emit(M - 1, self._merge, arr, M, p)
+                            moved(M - 1, self._merge, M, arr, row, M, p)
                         for p in range(1, M - 1):
-                            emit(M - 1, self._merge, arr, M, p)
+                            moved(M - 1, self._merge, M, arr, row, M, p)
             frontier = added
             floor = -1
             if not any(added.values()):

@@ -503,3 +503,27 @@ def test_gram_route_extends_the_certificate_ladder(monkeypatch):
     # level 6 grew when the ladder was extended to 7, but the level-6
     # system still reads the prefix it was made with
     assert six._kernel.sizes[6] == 131 < seven._kernel.sizes[6] == 132
+
+
+def test_orbit_route_computes_each_level_once(monkeypatch):
+    # P3 passes the certificate and has two vertex orbits; its kernels
+    # read levels 0-5 off the certificate ladder and compute level 6 once
+    from qgs import algebra, morspace
+    monkeypatch.setattr(morspace, "_mor_engines", {})
+    monkeypatch.setattr(algebra, "_systems", {})
+    calls = []
+    real = morspace.least_images
+
+    def counted(auts, q, k):
+        calls.append(k)
+        return real(auts, q, k)
+
+    monkeypatch.setattr(morspace, "least_images", counted)
+    monkeypatch.setattr(algebra, "least_images", counted)
+    g = path_graph(3)
+    hs = haar_system(g, "planar", 7)
+    assert hs.auts is not None
+    for e in range(3):
+        assert hs.left_invariance_residual(e, n_max=2) < 1e-12
+    delta_checks(g, 0, 2, "planar", max_level=7)
+    assert calls == [1, 2, 3, 4, 5, 6]

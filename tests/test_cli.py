@@ -154,10 +154,11 @@ def test_depth_out_of_range(files, capsys, monkeypatch, argv, message):
     assert message in err
 
 
-def check_ladder_entry_bound(files, capsys, monkeypatch, name, bound,
-                             prebuilt=False):
-    """haar-check exits 2 under a ladder entry bound the graph's ladder
-    entries reach, and passes once the bound is restored."""
+def check_ladder_limit(files, capsys, monkeypatch, name, setting, value,
+                       message, prebuilt=False):
+    """haar-check exits 2, naming `message`, under a ladder limit
+    (`setting` set to `value`) that the graph's ladder passes, and
+    passes once the limit is restored."""
     from qgs import algebra, morspace
     from qgs.cli import load_graph
 
@@ -172,11 +173,11 @@ def check_ladder_entry_bound(files, capsys, monkeypatch, name, bound,
     fresh_caches()
     if prebuilt:
         morspace.mor_engine(load_graph(files[name]))
-    monkeypatch.setattr(morspace, "LADDER_ENTRY_BOUND", bound)
+    monkeypatch.setattr(morspace, setting, value)
     code, doc, err = run(capsys, ["haar-check", "--graph", files[name],
                                   "--depth", "5"])
     assert code == 2 and doc is None
-    assert "ladder entry bound %d" % bound in err
+    assert message in err
     monkeypatch.undo()
     fresh_caches()
     code, doc, _ = run(capsys, ["haar-check", "--graph", files[name],
@@ -188,7 +189,8 @@ def test_haar_check_ladder_entry_bound(files, capsys, monkeypatch):
     # P3 passes the certificate; the function engine's bases are atom
     # indicators, and every entry of the MorEngine ladder that the
     # certificate reads is 1
-    check_ladder_entry_bound(files, capsys, monkeypatch, "p3", 1)
+    check_ladder_limit(files, capsys, monkeypatch, "p3",
+                       "LADDER_ENTRY_BOUND", 1, "ladder entry bound 1")
 
 
 def test_haar_check_ladder_entry_bound_on_the_gram_route(files, capsys,
@@ -196,8 +198,17 @@ def test_haar_check_ladder_entry_bound_on_the_gram_route(files, capsys,
     # K4 fails the certificate and takes the Gram route; its entries are
     # all 1, and with its MorEngine built beforehand the bound is met by
     # the Gram route's extension of that engine's ladder past level 5
-    check_ladder_entry_bound(files, capsys, monkeypatch, "k4", 1,
-                             prebuilt=True)
+    check_ladder_limit(files, capsys, monkeypatch, "k4",
+                       "LADDER_ENTRY_BOUND", 1, "ladder entry bound 1",
+                       prebuilt=True)
+
+
+def test_haar_check_ladder_budget(files, capsys, monkeypatch):
+    # K4's certificate ladder (to level 5) fits in 1 MB, but the Gram
+    # route's level 6 alone holds 131 arrays of 4^6 int32 entries (2 MB):
+    # haar-check exits 2 before storing past the budget
+    check_ladder_limit(files, capsys, monkeypatch, "k4",
+                       "LADDER_BUDGET_BYTES", 2 ** 20, "LADDER_BUDGET_BYTES")
 
 
 def test_haar_check_reports_quantum_symmetry(files, capsys, tmp_path,

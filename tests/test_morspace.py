@@ -817,3 +817,132 @@ def test_stopped_extension_keeps_its_level_and_retries(monkeypatch):
     assert lad.max_level == 7 and lad.stable
     assert [len(lad.levels[M]) for M in range(8)] == \
         [1, 1, 2, 5, 14, 42, 132, 428]
+
+
+# candidates in orbit coordinates
+
+def invariant_array(rng, auts, shape):
+    """A random integer array fixed by every automorphism: the sum of
+    one random array moved by each of them."""
+    import numpy as np
+    a = rng.integers(-3, 4, size=shape)
+    total = np.zeros(shape, dtype=np.int64)
+    for perm in auts:
+        moved = np.empty_like(a)
+        moved[np.ix_(*[list(perm)] * a.ndim)] = a
+        total += moved
+    return total
+
+
+def check_gathers(lad, auts, top=5):
+    """Every closure operation's orbit row, gathered from its operands'
+    orbit rows, equals its broadcast method read at the
+    representatives."""
+    import numpy as np
+    rng = np.random.default_rng(5)
+    arrs = {M: invariant_array(rng, auts, lad._shape(M))
+            for M in range(top + 1)}
+    rows = {M: np.append(0, a.ravel()[lad.reps[M]]) for M, a in arrs.items()}
+
+    def at(K, out):
+        return np.ravel(out)[lad.reps[K]]
+
+    lad._begin(top)
+    try:
+        for M in range(1, top + 1):
+            arr, row = arrs[M], rows[M]
+            moves = [(M, lad._reverse, (M,))]
+            moves += [(M, lad._rotate, (M,))] if M >= 2 else []
+            moves += [(M, np.swapaxes, (p, p + 1)) for p in range(1, M - 1)]
+            moves += [(M + 1, lad._dup, (M, p))
+                      for p in range(M + 1) if M < top]
+            moves += [(M - 1, lad._merge, (M, p)) for p in range(1, M)]
+            for K, op, rest in moves:
+                assert np.array_equal(lad._moved(K, op, M, row, *rest),
+                                      at(K, op(arr, *rest)))
+            for p in range(1, M):
+                assert np.array_equal(lad._capped(M, row, p),
+                                      at(M - 1, lad._cap(arr, p)))
+            for op, vs in ((lad._scale_edge, lad.f1_mats),
+                           (lad._scale_vertex, lad.f0_vecs)):
+                for t in range(M):
+                    for v, got in zip(vs, lad._scaled(op, M, row, t, vs)):
+                        assert np.array_equal(got, at(M, op(arr, M, t, v)))
+            for ky in range(1, top - M + 1):
+                assert np.array_equal(
+                    lad._wedged(row, M, rows[ky], ky),
+                    at(M + ky, lad._wedge(arr, M, arrs[ky], ky)))
+    finally:
+        lad._end()
+
+
+@pytest.mark.parametrize("category", ["planar", "all"])
+@pytest.mark.parametrize("name", ["K4", "C4", "P3", "K1,3"])
+def test_ladder_gathers_match_the_broadcast_operations(name, category):
+    lad = orbit_ladder(name, category)
+    check_gathers(lad, classical_aut(lad.graph)[0])
+
+
+def test_ladder_gathers_with_every_tuple_its_own_representative(
+        monkeypatch):
+    identity = [(0, 1, 2)]
+    monkeypatch.setattr(ms, "classical_aut", lambda g: (identity, None))
+    lad = ms.ColumnLadder(p3(), "planar", max_level=5)
+    assert all(len(lad.reps[M]) == 3 ** max(M, 1) for M in lad.reps)
+    check_gathers(lad, identity)
+
+
+# sha256 prefixes of np.stack(levels[M]).tobytes(), M = 0, 1, ..., frozen
+# from a closure that built every candidate as a full array
+LADDER_FINGERPRINTS = [
+    (k4, "planar", ["1b897dddd4c151e2", "1b897dddd4c151e2",
+                    "f3ca92af4fecd2f9", "237a607b08e82beb",
+                    "bbbf7bbd2a5db3a0", "dbef31aeeb4190cc",
+                    "c16409546bb22d16", "6125e154c00460ff"]),
+    (c4, "all", ["1b897dddd4c151e2", "1b897dddd4c151e2", "26ffb9badaaccf89",
+                 "3d0f1f9abb3ea8db", "f6872f98ad60bb7f", "6e063138cea2d711",
+                 "e3ce4004c091e104"]),
+    (p3, "planar", ["605390e5a369ee56", "605390e5a369ee56",
+                    "28321cf8841200c6", "e9d1727b450ce93c",
+                    "4ed83ae4fe51286d", "2590e654b4b2265b",
+                    "926330332e9b44d6"]),
+]
+
+
+@pytest.mark.parametrize("make, category, prints", LADDER_FINGERPRINTS,
+                         ids=["K4", "C4", "P3"])
+def test_ladder_arrays_are_frozen(make, category, prints):
+    import hashlib
+    import numpy as np
+    lad = ms.ColumnLadder(make(), category, max_level=len(prints) - 1)
+    assert [hashlib.sha256(np.stack(lad.levels[M]).tobytes()).hexdigest()[:16]
+            for M in range(len(prints))] == prints
+
+
+def held_bytes(lad):
+    """What the ladder counts against its budget between closures: the
+    least images (level 1 shares level 0's) and every stored array that
+    owns its entries."""
+    return (sum(lad.least[M].nbytes for M in lad.least if M != 1)
+            + sum(a.nbytes for arrs in lad.levels.values() for a in arrs
+                  if a.base is None))
+
+
+def test_ladder_budget_stops_before_allocating(monkeypatch):
+    lad = ms.ColumnLadder(k4(), "planar", max_level=5)
+    assert lad.held == held_bytes(lad)
+    # level 6 holds 132 arrays of 4^6 int32 entries (2 MB)
+    monkeypatch.setattr(ms, "LADDER_BUDGET_BYTES", lad.held + 2 ** 20)
+    with pytest.raises(BudgetExceeded, match="LADDER_BUDGET_BYTES"):
+        lad.extend(7)
+    assert lad.max_level == 5 and not hasattr(lad, "spans")
+    assert lad.held == held_bytes(lad) <= ms.LADDER_BUDGET_BYTES
+    # the least images of levels 0-7 alone take 8 * 21,844 bytes
+    monkeypatch.setattr(ms, "LADDER_BUDGET_BYTES", 10 ** 5)
+    with pytest.raises(BudgetExceeded, match="LADDER_BUDGET_BYTES"):
+        ms.ColumnLadder(k4(), "planar", max_level=7)
+    monkeypatch.undo()
+    lad.extend(7)
+    assert lad.held == held_bytes(lad)
+    assert [len(lad.levels[M]) for M in range(8)] == \
+        [1, 1, 2, 5, 14, 42, 132, 428]
