@@ -135,18 +135,19 @@ class _GramKernel:
 
     The ladder is `mor_engine(graph, category)`'s, extended to max_level,
     and only the prefix `sizes` it held then is read.  The level-M ladder
-    rows at the orbit representatives based in a are re-reduced to a
-    corner basis T.  Its Gram matrix at each basepoint, T diag(the
-    orbits' tuples there) T^T, must be constant over a, so it is
-    G = T diag(per_base) T^T; the kernel T^T G^-1 T is kept as two
-    factors with one row per orbit, and a zero row that index -1 reads."""
+    elements, read (`ColumnLadder.elements`) at the orbit representatives
+    based in a alone, are re-reduced to a corner basis T.  Its Gram
+    matrix at each basepoint, T diag(the orbits' tuples there) T^T, must
+    be constant over a, so it is G = T diag(per_base) T^T; the kernel
+    T^T G^-1 T is kept as two factors with one row per orbit, and a zero
+    row that index -1 reads."""
 
     def __init__(self, graph, category, max_level, orbits):
         self.q = graph.vertex_count
         self.orbits = orbits
         self.ladder = mor_engine(graph, category).ladder
         self.ladder.extend(max_level)
-        self.sizes = {M: len(arrs) for M, arrs in self.ladder.levels.items()}
+        self.sizes = {M: len(rows) for M, rows in self.ladder.levels.items()}
         self._corners = {}
 
     def _corner(self, M, a):
@@ -155,9 +156,8 @@ class _GramKernel:
         index, reps, _per_base = _orbit_table(
             self.ladder.least[M], self.orbits.classes[a], self.q)
         span = SpanModP(len(reps))
-        rows = [vec for vec in (arr.ravel()[reps] for arr in
-                                self.ladder.levels[M][:self.sizes[M]])
-                if vec.any() and span.add(vec)]
+        rows = [vec for vec in self.ladder.elements(M, self.sizes[M], reps)
+                if span.add(vec)]
         if not rows:
             raise ValidationError("empty corner at level %d" % M)
         t = np.array(rows, dtype=np.float64)

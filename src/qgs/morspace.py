@@ -17,7 +17,7 @@ Two engines cooperate.  A function engine works at arities (0,0) and
 pairs; it runs on finite graphs and on guarded windows of infinite
 providers.  The column ladder (`ColumnLadder`) is the one closure engine
 for higher arities: on finite graphs it generates the column spaces
-Mor(M, 0) as dense integer arrays, seeded by the function engine's
+Mor(M, 0) as integer functions on V^M, seeded by the function engine's
 vertex functions at levels 0 and 1 and its pair functions at level 2.
 Every Mor(n, m) with n + m <= MOR_LEVEL is read off ladder level n + m
 by rotation (`MorEngine`): in path form both spaces have the same n + m
@@ -49,12 +49,12 @@ generates is fixed by the classical automorphisms (Aut lies in QAut), so
 its values on the smallest tuple of each Aut-orbit determine it:
 restricting to those representatives is injective on the invariants,
 over Q and modulo a prime alike, and every accept decision is the one
-the full vectors would give.  So each candidate is computed only at the
-representatives, gathered from its operands' values there, and only an
-accepted candidate is built in full.  A level whose rank reaches the
-number of representatives (the Burnside count) holds every invariant
-vector, so the ladder computes no further candidate for it.  When
-level 4 does, the quantum group of the category is Aut(G) itself
+the full vectors would give.  So each element is stored only by its
+values at the representatives, its orbit row, and each candidate is
+gathered there from its operands' orbit rows.  A level whose rank
+reaches the number of representatives (the Burnside count) holds every
+invariant vector, so the ladder computes no further candidate for it.
+When level 4 does, the quantum group of the category is Aut(G) itself
 (`classical_certificate`).
 """
 
@@ -546,8 +546,8 @@ class MorEngine:
     MOR_LEVEL, read off the column ladder by rotation.  The engine keeps
     its ladder, built to MOR_LEVEL + 1, for later extension; `sizes`
     holds each served level's length when the engine was made, and only
-    that prefix is read.  `items` caches the unfolded bases of the pairs
-    requested so far."""
+    that prefix is read, at every tuple (`ColumnLadder.elements`).
+    `items` caches the unfolded bases of the pairs requested so far."""
 
     def __init__(self, graph, category="planar"):
         self.scene = function_engine(graph).scene
@@ -564,8 +564,10 @@ class MorEngine:
                                   % (n, m, MOR_LEVEL))
         if (n, m) not in self.items:
             M = n + m
+            shape = self.ladder._shape(M)
+            idx = np.arange(np.prod(shape)).reshape(shape)
             self.items[(n, m)] = [_unfold(a, n, m) for a in
-                                  self.ladder.levels[M][:self.sizes[M]]]
+                                  self.ladder.elements(M, self.sizes[M], idx)]
         return list(self.items[(n, m)])
 
 
@@ -1131,20 +1133,19 @@ def edge_substitute(pattern, x1, x2, assignment, target):
 
 # An element of the intertwiner space at arity pair (M, 0) in path form
 # is supported on closed tuples (i0..iM) with iM == i0, recorded with
-# column label (i0,).  We store such elements as dense integer arrays
-# over the free coordinates (i0..i_{M-1}) and generate the span by a
-# ladder of tuple operations: duplicating a coordinate, scaling an edge
-# of the loop by a generated pair function, scaling a coordinate by a
-# generated vertex function, summing out or merging coordinates, and
-# reversing the loop.  Independence is decided by row reduction modulo a
-# large prime on the values at one tuple per Aut-orbit; the stored values
-# stay exact integers.
+# column label (i0,), so it is an integer function of the free
+# coordinates (i0..i_{M-1}).  The span is generated by a ladder of tuple
+# operations: duplicating a coordinate, scaling an edge of the loop by a
+# generated pair function, scaling a coordinate by a generated vertex
+# function, summing out or merging coordinates, and reversing the loop.
+# Elements are stored by their exact values at one tuple per Aut-orbit,
+# and independence is decided there by row reduction modulo a large
+# prime.
 
 _SPAN_PRIME = 67108859
 # Every f0/f1 entry and every accepted level entry of the ladder is below
-# this in magnitude, so accepted levels are stored as int32.  Each ladder
-# operation is carried in int64 and multiplies at most two such factors
-# or sums q of them, so no product or sum can overflow.
+# this in magnitude.  Each ladder operation multiplies at most two such
+# factors or sums q of them, so no int64 product or sum can overflow.
 LADDER_ENTRY_BOUND = 2 ** 31
 
 
@@ -1223,41 +1224,41 @@ def least_images(auts, q, k):
 
 
 LADDER_ROUNDS = 10
-# A ladder raises BudgetExceeded before its stored level arrays and its
-# per-level least-image and orbit-index tables would take more bytes.
+# A ladder raises BudgetExceeded before its least-image and orbit-index
+# tables, its stored orbit rows and its spans' rows would take more bytes.
 LADDER_BUDGET_BYTES = 2 ** 31
 
 
 class ColumnLadder:
     """Exact generated bases of the column spaces at arities (M, 0).
 
-    Rank decisions are made in Aut-orbit coordinates: `least[M]` holds
-    the least image (`least_images`) of every flat index of the free
-    coordinates V^max(M, 1) under the classical automorphism group,
-    `reps[M]` the indices equal to theirs, one per orbit, and level M's
-    span sees only a candidate's values there, its orbit row.  The
-    seeds and every operation of the closure commute with Aut, so every
-    candidate is Aut-invariant and its restriction to `reps[M]` is
-    injective, over Q and modulo the prime: each accept decision, and so
-    each stored array, is the one the full arrays would give.  The
-    span's dimension is then the Burnside count, so a level whose rank
-    reaches it holds every invariant vector, and the closure computes no
-    candidate for it.  Past DEFAULT_AUT_LIMIT vertices no automorphism
-    is used, and every tuple is its own representative.
+    Levels live in Aut-orbit coordinates: `least[M]` holds the least
+    image (`least_images`) of every flat index of the free coordinates
+    V^max(M, 1) under the classical automorphism group, and `reps[M]`
+    the indices equal to theirs, one per orbit.  The seeds and every
+    operation of the closure commute with Aut, so every element is
+    Aut-invariant, and its values at `reps[M]` determine it, over Q and
+    modulo the prime: each accept decision is the one the full arrays
+    would give.  `levels[M]` stores each element as its orbit row, the
+    int64 vector of those values led by a 0 (entry 1 + k is the value at
+    reps[M][k]); the span is offered the row without the 0, and
+    `elements` reads rows at any tuples, through `least[M]`.  The span's
+    dimension is the Burnside count, so a level whose rank reaches it
+    holds every invariant vector, and the closure computes no candidate
+    for it.  Past DEFAULT_AUT_LIMIT vertices no automorphism is used,
+    and every tuple is its own representative.
 
-    The closure decides each candidate on its orbit row alone, gathered
-    from the orbit rows of its operands.  Each operation has one
-    definition, its broadcast method on full arrays; its gather is that
-    method applied once to the operand level's orbit index array (each
-    tuple's orbit number plus one, so that 0 reads an empty position),
-    read at the representatives.  Only a candidate the span accepts is
-    built as a full array, by the broadcast method, and stored as int32.
+    Each closure operation has one definition, its broadcast method on
+    full arrays.  Its gather, which computes a candidate's orbit row
+    from its operands', is that method applied once to the operand
+    level's orbit index array (each tuple's orbit number plus one, so
+    that 0 reads an empty position), read at the representatives.
 
     Construction extends an empty ladder (`extend`).  Raises
     BudgetExceeded when an f0/f1 entry or an accepted level entry
-    reaches LADDER_ENTRY_BOUND in magnitude, and before the stored level
-    arrays and the least-image and orbit-index tables would take more
-    than LADDER_BUDGET_BYTES."""
+    reaches LADDER_ENTRY_BOUND in magnitude, and before the least-image
+    tables (and their computation), the orbit index arrays, the stored
+    rows and the spans' rows would take more than LADDER_BUDGET_BYTES."""
 
     def __init__(self, graph, category="planar", max_level=6):
         self.graph = graph
@@ -1286,25 +1287,27 @@ class ColumnLadder:
         self.extend(max_level)
 
     def extend(self, max_level):
-        """Close the ladder up to level max_level.  Stored arrays are
-        kept, and they are the first frontier; if the ladder was stable,
-        its closure offered their candidates up to the old top level, so
-        the first round builds only those above it.  Levels only grow,
-        and `max_level` moves once the closure has returned."""
+        """Close the ladder up to level max_level.  Stored rows are kept,
+        and they are the first frontier; if the ladder was stable, its
+        closure offered their candidates up to the old top level, so the
+        first round computes only those above it.  Levels only grow, and
+        `max_level` moves once the closure has returned."""
         top = self.max_level
         if max_level <= top:
             return
         for M in range(top + 1, max_level + 1):
             if M in self.levels:
                 # a stopped extension left this level: its least images
-                # are kept, and its arrays dropped
-                self.held -= sum(a.nbytes for a in self.levels[M]
-                                 if a.base is None)
+                # are kept, and its rows dropped
+                self.held -= sum(row.nbytes for row in self.levels[M])
             elif M == 1:  # levels 0 and 1 both have the coordinates V
                 self.least[1], self.reps[1] = self.least[0], self.reps[0]
             else:
                 size = self.q ** max(M, 1)
-                self._reserve(8 * size)
+                # least_images holds about three image arrays while it
+                # runs, and one is kept
+                self._reserve(3 * 8 * size)
+                self.held -= 2 * 8 * size
                 self.least[M] = least_images(self.auts, self.q, max(M, 1))
                 self.reps[M] = np.flatnonzero(self.least[M] ==
                                               np.arange(size))
@@ -1317,30 +1320,40 @@ class ColumnLadder:
             self._end()
         self.max_level = max_level
 
+    def elements(self, M, count, idx):
+        """The first `count` elements of level M at the flat tuple
+        indices `idx`, read through their least images: an int64 array
+        of shape (count,) + idx.shape."""
+        cols = self._orbit_index(M, self.least[M][idx])
+        return np.array([row[cols] for row in self.levels[M][:count]],
+                        dtype=np.int64).reshape((-1,) + cols.shape)
+
+    def _orbit_index(self, M, least):
+        # the position in a level-M orbit row of each least image
+        return np.searchsorted(self.reps[M], least) + 1
+
     def _begin(self, max_level):
-        """The state of a closure, which `_end` drops: each level's span,
-        re-offered its stored arrays; its orbit index array (each tuple's
-        orbit number plus one, so that 0 reads an empty position); the
-        gathers derived so far; and, for the levels up to max_level - 2
-        that wedges read as their second loop, the orbit rows of the
-        stored arrays."""
-        self.spans, self._index, self._rows, self._gathers = {}, {}, {}, {}
+        """The state of a closure, which `_end` drops: each level's orbit
+        index array, its span, re-offered its stored rows, and the
+        gathers derived so far."""
+        self.spans, self._index, self._gathers = {}, {}, {}
         for M in range(max_level + 1):
-            self._reserve(self.least[M].nbytes)
-            self._index[M] = (np.searchsorted(self.reps[M], self.least[M])
-                              + 1).reshape(self._shape(M))
-            self.spans[M] = SpanModP(len(self.reps[M]))
-            if M <= max_level - 2:
-                self._rows[M] = []
-            for arr in self.levels[M]:
-                row = self._orbit_row(arr, M)
+            dim = len(self.reps[M])
+            # the orbit index array, and the span's copy of each stored row
+            self._reserve(8 * (self.least[M].size
+                               + dim * len(self.levels[M])))
+            self._index[M] = self._orbit_index(M, self.least[M]).reshape(
+                self._shape(M))
+            self.spans[M] = SpanModP(dim)
+            for row in self.levels[M]:
                 self.spans[M].add(row[1:])
-                if M in self._rows:
-                    self._rows[M].append(row)
 
     def _end(self):
-        self.held -= sum(a.nbytes for a in self._index.values())
-        del self.spans, self._index, self._rows, self._gathers
+        # a span's row that could not be stored was never counted
+        self.held -= sum(8 * (self._index[M].size
+                              + span.dim * len(self.levels[M]))
+                         for M, span in self.spans.items())
+        del self.spans, self._index, self._gathers
 
     # level M arrays have shape (q,) * max(M, 1); index t is loop
     # coordinate i_t, and the loop closes with i_M == i_0.
@@ -1362,23 +1375,19 @@ class ColumnLadder:
                 % (self.q, self.held + nbytes, LADDER_BUDGET_BYTES))
         self.held += nbytes
 
-    def _offer(self, M, vec, build):
-        """Offer a level-M candidate by its orbit row `vec`; only once
-        the span accepts it is its array built (`build()`) and stored."""
+    def _offer(self, M, vec):
+        """Offer a level-M candidate by its orbit row `vec`, without the
+        leading 0; store it once the span accepts it."""
         if not self.spans[M].add(vec):
             return False
-        arr = build()
-        self._check_entries(arr)
-        if arr.dtype != np.int32:  # the cast below copies
-            self._reserve(4 * arr.size)
-        # a view of a stored array stays a view
-        self.levels[M].append(arr.astype(np.int32, copy=False))
-        if M in self._rows:
-            self._rows[M].append(np.append(0, vec))
+        self._check_entries(vec)
+        # the stored row and the span's reduced copy
+        self._reserve(8 * (2 * len(vec) + 1))
+        self.levels[M].append(np.concatenate(([0], vec), dtype=np.int64))
         return True
 
     def _add(self, M, arr):
-        return self._offer(M, self._orbit_row(arr, M)[1:], lambda: arr)
+        return self._offer(M, self._at(arr, M))
 
     def _seed(self, max_level):
         for fn in self.f0_vecs:
@@ -1411,7 +1420,7 @@ class ColumnLadder:
         return arr * f.reshape(shape)
 
     def _cap(self, arr, p):
-        return self._cap_terms(arr, p).sum(axis=-1, dtype=np.int64)
+        return self._cap_terms(arr, p).sum(axis=-1)
 
     def _cap_terms(self, arr, p):
         """The terms the cap at coordinate p sums, along the last axis."""
@@ -1439,22 +1448,18 @@ class ColumnLadder:
     def _wedge(self, x, kx, y, ky):
         """Glue two loops at a shared basepoint, traversing x then y."""
         q = self.q
-        # an int32 by int32 product would wrap: upcast one factor
-        prod = (x.astype(np.int64).reshape(x.shape + (1,) * (ky - 1))
+        prod = (x.reshape(x.shape + (1,) * (ky - 1))
                 * y.reshape((q,) + (1,) * (kx - 1) + y.shape[1:]))
         out = np.zeros(self._shape(kx + ky), dtype=np.int64)
         idx = np.arange(q)
         np.moveaxis(out, (0, kx), (0, 1))[idx, idx] = prod
         return out
 
-    # Candidates in orbit coordinates.  `row` arguments are orbit rows
-    # led by 0 (`_orbit_row`).  Each gather is the operation's broadcast
-    # method applied to orbit index arrays (or to ones, or to the codes
-    # of a scaling's entries), read at the representatives of the
-    # candidate's level.
-
-    def _orbit_row(self, arr, M):
-        return np.concatenate(([0], self._at(arr, M)), dtype=np.int64)
+    # Candidates in orbit coordinates.  `row` arguments are stored orbit
+    # rows, led by 0.  Each gather is the operation's broadcast method
+    # applied to orbit index arrays (or to ones, or to the codes of a
+    # scaling's entries), read at the representatives of the candidate's
+    # level.
 
     def _gather(self, key, derive):
         if key not in self._gathers:
@@ -1498,10 +1503,10 @@ class ColumnLadder:
         return xrow[gx] * yrow[gy]
 
     def _close(self, max_level, floor):
-        # the first round builds no candidate at level `floor` or below
+        # the first round computes no candidate at level `floor` or below
         self.rounds = 0
         self.stable = False
-        levels, rows = self.levels, self._rows
+        levels = self.levels
         frontier = {M: range(len(levels[M])) for M in levels}
         for _ in range(LADDER_ROUNDS):
             self.rounds += 1
@@ -1511,62 +1516,55 @@ class ColumnLadder:
                 # a full level would reject every candidate
                 return floor < K <= max_level and not self.spans[K].full
 
-            def emit(K, cand, op, *args):
-                # compute the orbit row cand() only for an open level, and
-                # build the array op(*args) only once it is accepted
-                if is_open(K) and self._offer(K, cand(), lambda: op(*args)):
+            def emit(K, cand):
+                # compute the orbit row cand() only for an open level
+                if is_open(K) and self._offer(K, cand()):
                     added[K].append(len(levels[K]) - 1)
 
-            def moved(K, op, M, arr, row, *rest):
-                emit(K, lambda: self._moved(K, op, M, row, *rest),
-                     op, arr, *rest)
+            def moved(K, op, M, row, *rest):
+                emit(K, lambda: self._moved(K, op, M, row, *rest))
 
-            def scaled(op, M, arr, row, t, vs):
+            def scaled(op, M, row, t, vs):
                 # one gather gives the candidates of every w (or f) at t;
                 # a zero candidate is rejected, so it is not offered
                 if is_open(M):
                     cands = self._scaled(op, M, row, t, vs)
                     for k in np.flatnonzero(cands.any(axis=1)):
-                        emit(M, lambda: cands[k], op, arr, M, t, vs[k])
-
-            def wedged(x, kx, y, ky):
-                # x and y are (array, orbit row) pairs
-                emit(kx + ky, lambda: self._wedged(x[1], kx, y[1], ky),
-                     self._wedge, x[0], kx, y[0], ky)
+                        emit(M, lambda: cands[k])
 
             for M in range(max_level + 1):
                 for i in frontier[M]:
-                    arr = levels[M][i]
-                    row = self._orbit_row(arr, M)
+                    row = levels[M][i]
                     if M >= 2:
-                        moved(M, self._rotate, M, arr, row, M)
+                        moved(M, self._rotate, M, row, M)
                         for ky in range(1, max_level - M + 1):
-                            for y in zip(levels[ky], rows[ky]):
-                                wedged((arr, row), M, y, ky)
-                                wedged(y, ky, (arr, row), M)
+                            for y in levels[ky]:
+                                emit(M + ky,
+                                     lambda: self._wedged(row, M, y, ky))
+                                emit(M + ky,
+                                     lambda: self._wedged(y, ky, row, M))
                     if self.category == "all":
                         # the crossing of two interior loop coordinates
                         for p in range(1, M - 1):
-                            moved(M, np.swapaxes, M, arr, row, p, p + 1)
+                            moved(M, np.swapaxes, M, row, p, p + 1)
                     if M >= 1:
-                        moved(M, self._reverse, M, arr, row, M)
+                        moved(M, self._reverse, M, row, M)
                         for t in range(M):
-                            scaled(self._scale_edge, M, arr, row, t,
+                            scaled(self._scale_edge, M, row, t,
                                    self.f1_mats)
                         for t in range(M):
-                            scaled(self._scale_vertex, M, arr, row, t,
+                            scaled(self._scale_vertex, M, row, t,
                                    self.f0_vecs)
                     if M >= 1 and M < max_level:
                         for p in range(M + 1):
-                            moved(M + 1, self._dup, M, arr, row, M, p)
+                            moved(M + 1, self._dup, M, row, M, p)
                     if M >= 2:
                         for p in range(1, M):
-                            emit(M - 1, lambda: self._capped(M, row, p),
-                                 self._cap, arr, p)
+                            emit(M - 1, lambda: self._capped(M, row, p))
                         for p in range(M - 1, M):
-                            moved(M - 1, self._merge, M, arr, row, M, p)
+                            moved(M - 1, self._merge, M, row, M, p)
                         for p in range(1, M - 1):
-                            moved(M - 1, self._merge, M, arr, row, M, p)
+                            moved(M - 1, self._merge, M, row, M, p)
             frontier = added
             floor = -1
             if not any(added.values()):

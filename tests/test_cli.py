@@ -204,11 +204,12 @@ def test_haar_check_ladder_entry_bound_on_the_gram_route(files, capsys,
 
 
 def test_haar_check_ladder_budget(files, capsys, monkeypatch):
-    # K4's certificate ladder (to level 5) fits in 1 MB, but the Gram
-    # route's level 6 alone holds 131 arrays of 4^6 int32 entries (2 MB):
-    # haar-check exits 2 before storing past the budget
+    # K4's certificate ladder (to level 5) never counts 64 KB, but the
+    # Gram route's level 6 holds 131 orbit rows of 188 int64 entries, and
+    # the span a reduced copy of each (about 390 KB): haar-check exits 2
+    # before storing past the budget
     check_ladder_limit(files, capsys, monkeypatch, "k4",
-                       "LADDER_BUDGET_BYTES", 2 ** 20, "LADDER_BUDGET_BYTES")
+                       "LADDER_BUDGET_BYTES", 2 ** 18, "LADDER_BUDGET_BYTES")
 
 
 def test_haar_check_reports_quantum_symmetry(files, capsys, tmp_path,
@@ -238,6 +239,18 @@ def test_haar_check_reports_quantum_symmetry(files, capsys, tmp_path,
     code, doc, _ = run(capsys, ["haar-check", "--graph", files["k3"],
                                 "--depth", "5", "--category", "all"])
     assert code == 0 and doc["quantum_symmetry"] is None
+
+
+def test_haar_check_passes_on_k33(capsys, tmp_path):
+    # K3,3 has quantum symmetry, so the Gram route builds the ladder to
+    # level 7 at the default depth; its orbit rows there have at most
+    # 5,391 entries, where full arrays had 6^7 and passed the budget
+    path = tmp_path / "k33.graph"
+    path.write_text("finite 6\n" + "".join(
+        "edge %d %d\n" % (u, v) for u in range(3) for v in range(3, 6)))
+    code, doc, _ = run(capsys, ["haar-check", "--graph", str(path)])
+    assert code == 0 and doc["passed"] is True
+    assert doc["quantum_symmetry"] is None
 
 
 def test_planar_iso_distinguished(files, capsys):

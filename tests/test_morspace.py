@@ -602,23 +602,30 @@ def test_ladder_tuple_operations_match_their_loop_forms():
                                   loop_wedge(arr, M, other, ky, q))
 
 
-def test_ladder_operations_on_int32_levels_do_not_wrap():
+def test_ladder_gathers_at_the_entry_bound_do_not_wrap():
     import numpy as np
-    # accepted levels are stored as int32; products and sums of entries
-    # below the ladder entry bound are carried in int64
-    lad = ms.ColumnLadder(p3(), "planar", max_level=3)
-    assert all(a.dtype == np.int32 for level in lad.levels.values()
-               for a in level)
+    # levels are stored as int64 orbit rows; the gathers' products and
+    # sums of entries below the ladder entry bound do not wrap
+    lad = ms.ColumnLadder(p3(), "planar", max_level=4)
+    assert all(row.dtype == np.int64 for level in lad.levels.values()
+               for row in level)
     q = lad.q
     top = ms.LADDER_ENTRY_BOUND - 1
-    big = np.full((q, q), top, dtype=np.int32)
-    wide = big.astype(np.int64)
-    assert np.array_equal(lad._wedge(big, 2, big, 2),
-                          loop_wedge(wide, 2, wide, 2, q))
-    assert int(lad._wedge(big, 2, big, 2).max()) == top * top
-    assert np.array_equal(lad._cap(big, 1), np.full(q, q * top))
-    assert np.array_equal(lad._scale_edge(big, 2, 0, wide),
-                          np.full((q, q), top * top))
+    big = np.full((q, q), top, dtype=np.int64)
+    row = np.append(0, np.full(len(lad.reps[2]), top))
+    lad._begin(4)
+    try:
+        wedged = lad._wedged(row, 2, row, 2)
+        assert np.array_equal(
+            wedged, loop_wedge(big, 2, big, 2, q).ravel()[lad.reps[4]])
+        assert int(wedged.max()) == top * top
+        assert np.array_equal(lad._capped(2, row, 1),
+                              np.full(len(lad.reps[1]), q * top))
+        assert np.array_equal(lad._scaled(lad._scale_edge, 2, row, 0,
+                                          big[None]),
+                              np.full((1, len(lad.reps[2])), top * top))
+    finally:
+        lad._end()
 
 
 def test_ladder_entry_bound_checks_accepted_levels(monkeypatch):
@@ -639,23 +646,42 @@ ORBIT_GRAPHS = {"K3": k3, "P3": p3, "K4": k4, "C4": c4, "K1,3": star}
 _ladders = {}
 
 
-def orbit_ladder(name, category):
-    """The max_level 5 ladder of an ORBIT_GRAPHS entry, built once."""
-    key = (name, category)
+def orbit_ladder(name, category, identity=False):
+    """The max_level 5 ladder of an ORBIT_GRAPHS entry, built once; with
+    `identity`, built with the identity as its only automorphism, so
+    that every tuple is its own representative and its orbit rows are
+    the full arrays."""
+    key = (name, category, identity)
     if key not in _ladders:
-        _ladders[key] = ms.ColumnLadder(ORBIT_GRAPHS[name](), category,
-                                        max_level=5)
+        with pytest.MonkeyPatch.context() as mp:
+            if identity:
+                mp.setattr(ms, "classical_aut", lambda g: (
+                    [tuple(range(g.vertex_count))], None))
+            _ladders[key] = ms.ColumnLadder(ORBIT_GRAPHS[name](), category,
+                                            max_level=5)
     return _ladders[key]
+
+
+def expanded(lad, M):
+    """Every element of ladder level M as a full array over V^max(M, 1),
+    stacked, read through `elements`."""
+    import numpy as np
+    shape = lad._shape(M)
+    return lad.elements(M, len(lad.levels[M]),
+                        np.arange(np.prod(shape)).reshape(shape))
 
 
 @pytest.mark.parametrize("category", ["planar", "all"])
 @pytest.mark.parametrize("name", sorted(ORBIT_GRAPHS))
 def test_ladder_arrays_are_fixed_by_every_automorphism(name, category):
     import numpy as np
-    lad = orbit_ladder(name, category)
+    # rows read through the least images are invariant by construction;
+    # the identity-group ladder computes every tuple, so its invariance
+    # is the closure's
+    lad = orbit_ladder(name, category, identity=True)
     auts, _orb = classical_aut(lad.graph)
-    for M, arrs in lad.levels.items():
-        for arr in arrs:
+    for M in lad.levels:
+        for arr in expanded(lad, M):
             for perm in auts:
                 # (g.a)[g(i)] = a[i] on every tuple i
                 moved = np.empty_like(arr)
@@ -689,21 +715,17 @@ def test_ladder_reps_count_the_orbits(name):
 
 @pytest.mark.parametrize("category", ["planar", "all"])
 @pytest.mark.parametrize("name", ["K4", "C4", "K1,3"])
-def test_ladder_orbit_coordinates_match_full_coordinates(
-        name, category, monkeypatch):
+def test_ladder_orbit_coordinates_match_full_coordinates(name, category):
     import numpy as np
     lad = orbit_ladder(name, category)
     # the identity alone gives one representative per tuple: every span
     # sees the full arrays, and no level is full before q^M
-    monkeypatch.setattr(ms, "classical_aut",
-                        lambda g: ([tuple(range(g.vertex_count))], None))
-    full = ms.ColumnLadder(lad.graph, category, max_level=5)
+    full = orbit_ladder(name, category, identity=True)
     assert all(len(full.reps[M]) == full.q ** max(M, 1) for M in full.reps)
     assert (full.rounds, full.stable) == (lad.rounds, lad.stable)
     for M in lad.levels:
         assert len(full.levels[M]) == len(lad.levels[M])
-        for a, b in zip(full.levels[M], lad.levels[M]):
-            assert np.array_equal(a, b)
+        assert np.array_equal(expanded(full, M), expanded(lad, M))
 
 
 @pytest.mark.parametrize("category", ["planar", "all"])
@@ -776,13 +798,15 @@ def test_classical_certificate_survives_relabeling(make):
 
 # one ladder per graph and category, extended instead of rebuilt
 
-def stacked_rank(lad, M, *bases):
-    """Rank modulo the span prime of the level-M arrays of several
-    bases together, in the ladder's orbit coordinates."""
-    span = ms.SpanModP(len(lad.reps[M]))
-    for arrs in bases:
-        for arr in arrs:
-            span.add(arr.ravel()[lad.reps[M]])
+def stacked_rank(M, *ladders):
+    """Rank modulo the span prime of the level-M elements of several
+    ladders of one graph together, in the first one's orbit
+    coordinates."""
+    reps = ladders[0].reps[M]
+    span = ms.SpanModP(len(reps))
+    for lad in ladders:
+        for vec in lad.elements(M, len(lad.levels[M]), reps):
+            span.add(vec)
     return span.rank
 
 
@@ -798,8 +822,7 @@ def test_extended_ladder_equals_a_fresh_build(make, low, high, category):
     for M in range(high + 1):
         # equal ranks, and the two bases span one space
         assert len(lad.levels[M]) == len(fresh.levels[M])
-        assert stacked_rank(lad, M, lad.levels[M], fresh.levels[M]) == \
-            len(fresh.levels[M])
+        assert stacked_rank(M, lad, fresh) == len(fresh.levels[M])
     if make is k4 and category == "planar":
         assert [len(lad.levels[M]) for M in range(8)] == \
             [1, 1, 2, 5, 14, 42, 132, 428]
@@ -892,8 +915,9 @@ def test_ladder_gathers_with_every_tuple_its_own_representative(
     check_gathers(lad, identity)
 
 
-# sha256 prefixes of np.stack(levels[M]).tobytes(), M = 0, 1, ..., frozen
-# from a closure that built every candidate as a full array
+# sha256 prefixes of the bytes of level M's full arrays, stacked as
+# int32, M = 0, 1, ..., frozen from a closure that built every candidate
+# as a full array and stored it as int32
 LADDER_FINGERPRINTS = [
     (k4, "planar", ["1b897dddd4c151e2", "1b897dddd4c151e2",
                     "f3ca92af4fecd2f9", "237a607b08e82beb",
@@ -915,23 +939,23 @@ def test_ladder_arrays_are_frozen(make, category, prints):
     import hashlib
     import numpy as np
     lad = ms.ColumnLadder(make(), category, max_level=len(prints) - 1)
-    assert [hashlib.sha256(np.stack(lad.levels[M]).tobytes()).hexdigest()[:16]
-            for M in range(len(prints))] == prints
+    assert [hashlib.sha256(expanded(lad, M).astype(np.int32).tobytes())
+            .hexdigest()[:16] for M in range(len(prints))] == prints
 
 
 def held_bytes(lad):
     """What the ladder counts against its budget between closures: the
-    least images (level 1 shares level 0's) and every stored array that
-    owns its entries."""
+    least images (level 1 shares level 0's) and every stored row."""
     return (sum(lad.least[M].nbytes for M in lad.least if M != 1)
-            + sum(a.nbytes for arrs in lad.levels.values() for a in arrs
-                  if a.base is None))
+            + sum(row.nbytes for rows in lad.levels.values()
+                  for row in rows))
 
 
 def test_ladder_budget_stops_before_allocating(monkeypatch):
     lad = ms.ColumnLadder(k4(), "planar", max_level=5)
     assert lad.held == held_bytes(lad)
-    # level 6 holds 132 arrays of 4^6 int32 entries (2 MB)
+    # level 7 holds 428 orbit rows of 716 int64 entries, and the span a
+    # reduced copy of each (about 4.9 MB)
     monkeypatch.setattr(ms, "LADDER_BUDGET_BYTES", lad.held + 2 ** 20)
     with pytest.raises(BudgetExceeded, match="LADDER_BUDGET_BYTES"):
         lad.extend(7)
@@ -946,3 +970,27 @@ def test_ladder_budget_stops_before_allocating(monkeypatch):
     assert lad.held == held_bytes(lad)
     assert [len(lad.levels[M]) for M in range(8)] == \
         [1, 1, 2, 5, 14, 42, 132, 428]
+
+
+def test_ladder_budget_counts_the_least_image_transient(monkeypatch):
+    lad = ms.ColumnLadder(k4(), "planar", max_level=5)
+    budget = ms.LADDER_BUDGET_BYTES
+    calls = []
+    real = ms.least_images
+
+    def counted(auts, q, k):
+        calls.append(k)
+        return real(auts, q, k)
+
+    monkeypatch.setattr(ms, "least_images", counted)
+    # least_images(6) holds about three arrays of 4^6 int64 entries while
+    # it runs and keeps one; the budget leaves room for two
+    monkeypatch.setattr(ms, "LADDER_BUDGET_BYTES",
+                        lad.held + 2 * 8 * 4 ** 6)
+    with pytest.raises(BudgetExceeded, match="LADDER_BUDGET_BYTES"):
+        lad.extend(6)
+    assert calls == [] and lad.max_level == 5
+    assert lad.held == held_bytes(lad)
+    monkeypatch.setattr(ms, "LADDER_BUDGET_BYTES", budget)
+    lad.extend(6)
+    assert calls == [6] and lad.held == held_bytes(lad)
