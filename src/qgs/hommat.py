@@ -447,8 +447,3 @@ def partial_trace(entries, side):
             out[key] = out.get(key, 0) + v
     return out
 
-
-def export_triplets(hm):
-    """Sparse (row, col, value) triplets in a deterministic order."""
-    return [(list(i), list(j), hm.entries[(i, j)])
-            for (i, j) in sorted(hm.entries)]

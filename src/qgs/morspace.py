@@ -60,6 +60,7 @@ When level 4 does, the quantum group of the category is Aut(G) itself
 
 from collections import deque
 from fractions import Fraction
+import itertools
 import random
 
 import numpy as np
@@ -578,13 +579,12 @@ class MorEngine:
 class MorBasis:
     """A generated spanning set of intertwiners at one arity pair."""
 
-    def __init__(self, arity, matrices, category, scene, stable, depth):
+    def __init__(self, arity, matrices, category, scene, stable):
         self.arity = arity
         self.matrices = matrices
         self.category = category
         self.scene = scene
         self.stable = stable
-        self.depth = depth
 
     @property
     def rank(self):
@@ -610,7 +610,7 @@ class OrbitPartition:
 
 class MinimalProjection:
     def __init__(self, matrix, arity, block, d_left, d_right, exact,
-                 seed=None, residual=0):
+                 residual=0):
         self.matrix = matrix
         self.arity = arity
         self.block = block
@@ -618,7 +618,6 @@ class MinimalProjection:
         self.d_right = d_right
         self.rho = Fraction(d_right, d_left)
         self.exact = exact
-        self.seed = seed
         self.residual = residual
 
 
@@ -685,16 +684,14 @@ def generate_mor(target, n, m, category="planar", window=None):
         else:
             mats = [{((u, v), (u, v)): c for (u, v), c in fn.items()}
                     for fn in fe.f1_basis()]
-        return MorBasis((n, m), mats, category, fe.scene, fe.stable,
-                        fe.rounds)
+        return MorBasis((n, m), mats, category, fe.scene, fe.stable)
     if not isinstance(target, FiniteGraph):
         raise ValidationError(
             "higher-arity spans are only generated over finite graphs; "
             "windows support arities (0,0) and (1,1)")
     eng = mor_engine(target, category)
     mats = eng.basis(n, m)
-    return MorBasis((n, m), mats, category, eng.scene, eng.stable,
-                    eng.rounds)
+    return MorBasis((n, m), mats, category, eng.scene, eng.stable)
 
 
 def quantum_orbits(target, category="all", window=None):
@@ -805,38 +802,39 @@ def _diagonal_atoms(basis, orbits):
     return out
 
 
-def _orbit_constant(trace, orbits, v0, scene=None):
-    if orbits is None:
-        keys = scene.core if scene is not None else set(trace)
-        vals = {trace.get(v, 0) for v in keys}
-        return vals.pop() if len(vals) == 1 else None
-    orbit = orbits.classes[orbits.orbit_of(v0)]
-    vals = {trace.get(v, 0) for v in orbit}
+def _orbit_constant(trace, orbits, v0, scene):
+    keys = scene.core if orbits is None else \
+        orbits.classes[orbits.orbit_of(v0)]
+    vals = {trace.get(v, 0) for v in keys}
     return vals.pop() if len(vals) == 1 else None
 
 
 def _spectral_projections(basis, orbits, tol, seed):
     """Eigenprojections P = v v^T of a random self-adjoint element that
     lie in the span, by least squares through the pseudo-inverse of the
-    r x r Gram matrix of the (r, d, d) basis stack, and cut out a
-    one-dimensional corner: the compressions v^T a v have the singular
-    values of P a P, since v is an isometry."""
-    support = sorted({t for mat in basis.matrices for key in mat
-                      for t in key})
-    idx = {t: k for k, t in enumerate(support)}
-    dim = len(support)
-    stack = np.zeros((len(basis.matrices), dim, dim))
+    r x r Gram matrix of the basis, and cut out a one-dimensional
+    corner: the compressions v^T a v have the singular values of P a P,
+    since v is an isometry.  A Mor(n, n) element pairs (i0..in) only with
+    tuples that share i0 and in, so the basis is stacked on these
+    endpoint blocks, (r, q^2, s, s) over the s = q^(n - 1) interior
+    tuples, and the eigenvalues of all blocks are clustered together."""
+    q = basis.scene.graph.vertex_count
+    interior = list(itertools.product(range(q), repeat=basis.arity[0] - 1))
+    at = {t: k for k, t in enumerate(interior)}
+    s = len(interior)
+    stack = np.zeros((len(basis.matrices), q * q, s, s))
     for a, mat in zip(stack, basis.matrices):
         for (i, j), c in mat.items():
-            a[idx[i], idx[j]] = float(c)
+            a[i[0] * q + i[-1], at[i[1:-1]], at[j[1:-1]]] = float(c)
     flat = stack.reshape(len(stack), -1)
     rng = random.Random(seed)
     coeffs = [rng.uniform(0.5, 1.5) for _ in stack]
-    h = sum(c * (a + a.T) / 2 for c, a in zip(coeffs, stack))
+    h = sum(c * (a + a.swapaxes(1, 2)) / 2 for c, a in zip(coeffs, stack))
     evals, evecs = np.linalg.eigh(h)
+    order = np.argsort(evals, axis=None, kind="stable")
     scale = max(1.0, float(np.max(np.abs(evals))))
     clusters = []
-    for k, lam in enumerate(evals):
+    for k, lam in zip(order.tolist(), evals.ravel()[order]):
         if clusters and abs(lam - clusters[-1][0]) < 1e3 * tol * scale:
             clusters[-1][1].append(k)
         else:
@@ -847,19 +845,28 @@ def _spectral_projections(basis, orbits, tol, seed):
     for lam, ks in clusters:
         if abs(lam) < 1e3 * tol * scale:
             continue
-        v = evecs[:, ks]
-        proj = v @ v.T
+        blocks, cols = np.divmod(ks, s)
+        proj = np.zeros((q * q, s, s))
+        corner = []
+        for b in np.unique(blocks):
+            v = evecs[b][:, cols[blocks == b]]
+            proj[b] = v @ v.T
+            corner.append((v.T @ stack[:, b] @ v).reshape(len(stack), -1))
         target = proj.ravel()
         residual = float(np.max(np.abs(
             (gram_inv @ (flat @ target)) @ flat - target)))
         if residual > 1e3 * tol:
             continue
-        corner = (v.T @ stack @ v).reshape(len(stack), -1)
-        if np.linalg.matrix_rank(corner, tol=1e3 * tol * scale) != 1:
+        # cross-block entries of the corner are 0
+        if np.linalg.matrix_rank(np.hstack(corner),
+                                 tol=1e3 * tol * scale) != 1:
             continue
-        rows, cols = np.nonzero(np.abs(proj) > tol)
-        mat = {(support[a], support[b]): x for a, b, x in
-               zip(rows.tolist(), cols.tolist(), proj[rows, cols].tolist())}
+        # axes (i0, row interior, in, column interior): sorted key order
+        proj = proj.reshape(q, q, s, s).transpose(0, 2, 1, 3)
+        nz = np.nonzero(np.abs(proj) > tol)
+        mat = {((i0,) + interior[a] + (i1,), (i0,) + interior[b] + (i1,)): x
+               for i0, a, i1, b, x in zip(*(ax.tolist() for ax in nz),
+                                          proj[nz].tolist())}
         anchor = max(mat, key=lambda k: abs(mat[k]))
         tl = partial_trace(mat, "left")
         tr = partial_trace(mat, "right")
@@ -869,14 +876,12 @@ def _spectral_projections(basis, orbits, tol, seed):
             continue
         out.append(MinimalProjection(mat, basis.arity[0],
                                      _block_of(orbits, anchor[0]),
-                                     d_l, d_r, False, seed=seed,
-                                     residual=residual))
+                                     d_l, d_r, False, residual=residual))
     return out
 
 
 def _float_orbit_constant(trace, orbits, v0, tol):
-    orbit = orbits.classes[orbits.orbit_of(v0)] if orbits else \
-        sorted(trace)
+    orbit = orbits.classes[orbits.orbit_of(v0)]
     vals = [float(trace.get(v, 0)) for v in orbit]
     mean = sum(vals) / len(vals)
     if max(abs(x - mean) for x in vals) > 1e3 * tol:

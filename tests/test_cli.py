@@ -23,13 +23,15 @@ K4 = "finite 4\n" + "".join("edge %d %d\n" % (u, v) for u in range(4)
                              for v in range(u + 1, 4))
 C6 = "finite 6\n" + "".join("edge %d %d\n" % (v, (v + 1) % 6)
                              for v in range(6))
+C8 = "finite 8\n" + "".join("edge %d %d\n" % (v, (v + 1) % 8)
+                             for v in range(8))
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, text in (("c4", C4), ("p3", P3), ("p4", P4), ("k3", K3),
-                       ("k4", K4), ("c6", C6)):
+                       ("k4", K4), ("c6", C6), ("c8", C8)):
         p = tmp_path / (name + ".graph")
         p.write_text(text)
         paths[name] = str(p)
@@ -119,6 +121,22 @@ def test_dims_c6_depth_two_is_frozen(files, capsys):
          "projections": projections(True, ("1", 2), ("2", 2))},
         {"arity": 2, "mor_dimension": 112,
          "projections": projections(False, ("1", 12), ("2", 12))}]
+
+
+def test_dims_c8_depth_two_all_is_frozen(files, capsys):
+    # Aut(C8) = D8 has B_4 = 260 orbits on V^4, so the arity-2 span of
+    # category "all" is complete and this report is the true one
+    code, doc, _ = run(capsys, ["dims", "--graph", files["c8"],
+                                "--depth", "2", "--category", "all"])
+    assert code == 0
+    assert doc["dims"] == [
+        {"arity": arity, "mor_dimension": dim,
+         "projections": [{"block": [0, 0], "d_left": d, "d_right": d,
+                          "exact": arity < 2}
+                         for d, count in counts for _ in range(count)]}
+        for arity, dim, counts in ((0, 1, [("1", 1)]),
+                                   (1, 5, [("1", 2), ("2", 3)]),
+                                   (2, 260, [("1", 16), ("2", 24)]))]
 
 
 def test_haar_check_passes(files, capsys):

@@ -510,11 +510,3 @@ def test_partial_trace_positive_short_edges_grandparent():
 def test_partial_trace_bad_side():
     with pytest.raises(G.ValidationError):
         H.partial_trace({}, "up")
-
-
-def test_export_triplets():
-    hm = H.hom_matrix(B.m_gadget(2, 0), path_graph(2),
-                      SIGNATURE_BUDGET_BYTES)
-    trips = H.export_triplets(hm)
-    assert trips == [([0, 0], [], 1), ([1, 1], [], 1)]
-

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from qgs.graphs import (BudgetExceeded, FiniteGraph, ValidationError,
-                        classical_aut, grandparent_graph, tree_provider)
+                        classical_aut, cycle_graph, grandparent_graph,
+                        tree_provider)
 import qgs.morspace as ms
 import qgs.hommat as hm
 from qgs.bilabeled import BiLabeled
@@ -316,8 +317,9 @@ def reference_spectral_projections(basis, orbits, tol, seed):
                                   lambda: FiniteGraph(4, [(0, 1), (0, 2),
                                                           (0, 3)]),
                                   lambda: FiniteGraph(4, [(0, 1), (1, 2),
-                                                          (2, 3)])],
-                         ids=["K3", "P3", "K4", "C4", "K1,3", "P4"])
+                                                          (2, 3)]),
+                                  lambda: cycle_graph(5)],
+                         ids=["K3", "P3", "K4", "C4", "K1,3", "P4", "C5"])
 def test_spectral_projections_match_the_reference(make, category):
     b = ms.generate_mor(make(), 2, 2, category=category)
     orbits = ms.quantum_orbits(b.scene.graph, category=category)
@@ -329,6 +331,22 @@ def test_spectral_projections_match_the_reference(make, category):
         assert list(p.matrix) == list(mat)
         assert max(abs(p.matrix[k] - mat[k]) for k in mat) < 1e-9
         assert p.residual < 1e-9
+
+
+def test_spectral_projections_stay_on_the_endpoint_blocks():
+    # on C8 a dense stack of the Mor(2, 2) basis over all 8^3 tuples is
+    # 260 x 512 x 512 floats (545 MB); the endpoint blocks hold 1/64 of it
+    import tracemalloc
+    b = ms.generate_mor(cycle_graph(8), 2, 2, category="all")
+    orbits = ms.quantum_orbits(b.scene.graph, category="all")
+    tracemalloc.start()
+    try:
+        got = ms._spectral_projections(b, orbits, 1e-9, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(b.matrices) == 260 and len(got) == 40
+    assert peak < 64 * 2 ** 20
 
 
 def test_mu_assignment_grandparent():
