@@ -89,24 +89,25 @@ def classify(k):
 def _glue_map(nv, ident_pairs):
     """Glue range(nv) along ident_pairs: (list giving each vertex its
     glued vertex, number of glued vertices), numbered in order of each
-    class's least member."""
-    parent = list(range(nv))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    class's least member.  The union-find touches only the vertices
+    named in ident_pairs; every other vertex is its own class."""
+    parent = {}     # a vertex -> a smaller vertex of its class
     for (a, b) in ident_pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    remap = {}
+        while a in parent:
+            a = parent[a]
+        while b in parent:
+            b = parent[b]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    # the roots are the vertices outside parent, numbered in order; each
+    # other vertex takes the number of its parent, numbered before it
+    drop = sorted(parent)
     glued = []
-    for v in range(nv):
-        glued.append(remap.setdefault(find(v), len(remap)))
-    return glued, len(remap)
+    for k, d in enumerate(drop):
+        glued.extend(range(len(glued) - k, d - k))
+        glued.append(glued[parent[d]])
+    glued.extend(range(len(glued) - len(drop), nv - len(drop)))
+    return glued, nv - len(drop)
 
 
 def _quotient(nv, edges, ident_pairs, label_tuples):
@@ -127,16 +128,10 @@ def compose(k1, k2):
     return BiLabeled(FiniteGraph(count, edges), x, y)
 
 
-def equality_key(k):
-    """(vertex count, edge set, x, y): equal exactly when the bi-labeled
-    graphs are equal."""
-    return (k.graph.vertex_count, k.graph.edges, k.x, k.y)
-
-
 def compose_key(k1, k2):
-    """(vertex count, edge set, x, y) of the composite of k1 and k2, by
-    gluing alone: equality_key(compose(k1, k2)) without building the
-    graph.  Arities must match."""
+    """The composite of k1 and k2 as (vertex_count, graph.edges, x, y),
+    by gluing alone without building the graph: two pairs get equal keys
+    exactly when their composites are equal.  Arities must match."""
     off = k1.graph.vertex_count
     glued, count = _glue_map(off + k2.graph.vertex_count,
                              [(k1.y[i], k2.x[i] + off) for i in range(k1.m)])

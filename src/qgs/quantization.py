@@ -13,15 +13,15 @@ The matrices form a monoidal functor: a composite maps to the matrix
 product and a relative tensor product to the concatenation tensor of
 its factors' matrices.  The span-rank probe therefore counts
 homomorphisms only for the split-cycle atoms and gets every other
-matrix from theirs by exact integer algebra.
+matrix from theirs by exact integer algebra; it tells layers and
+composites apart by integer-coded keys, building no graph for them.
 """
 
 import csv
 import io
 import itertools
 
-from .bilabeled import (BiLabeled, classify, compose_key, equality_key,
-                        relative_tensor)
+from .bilabeled import BiLabeled, _glue_map, classify
 from .graphs import BudgetExceeded, FiniteGraph, ValidationError, cayley_graph
 from .hommat import TupleWindow, hom_matrix_windowed
 from .morspace import mat_mul
@@ -272,44 +272,95 @@ def split_cycle(a, b):
     return BiLabeled(g, x, y)
 
 
-def _sort_key(k):
-    return (k.graph.vertex_count, k.n, k.m, k.x, k.y,
-            tuple(sorted(k.graph.undirected_edges())))
+# Layers and composites are handled as integer-coded keys (vertex count,
+# sorted edge codes, x, y), the edge {u, w} with u <= w coded u * nv + w:
+# two keys are equal exactly when their bi-labeled graphs are, and the
+# codes sort as the edge pairs do.
+
+def _blg_key(k):
+    nv = k.graph.vertex_count
+    return (nv, tuple(u * nv + w for (u, w) in k.graph.undirected_edges()),
+            k.x, k.y)
 
 
-def _layers(size, vertex_cap, layer_cap, factors=None):
-    """Relative tensor products of split cycles, deduplicated as labeled
-    graphs and truncated by the vertex and member budgets.
+def _key_blg(key):
+    nv, codes, x, y = key
+    return BiLabeled(FiniteGraph(nv, [divmod(c, nv) for c in codes]), x, y)
+
+
+def _glue_keys(k1, k2, pairs, x, y):
+    """Key of k1 beside k2 (k2's vertices numbered after k1's) glued
+    along pairs; x and y are labels in the numbering before the glue."""
+    n1 = k1[0]
+    glued, count = _glue_map(n1 + k2[0], pairs)
+    edges = set()
+    for (nv, part, codes) in ((n1, glued[:n1], k1[1]),
+                              (k2[0], glued[n1:], k2[1])):
+        for u, w in map(divmod, codes, itertools.repeat(nv)):
+            u, w = part[u], part[w]
+            edges.add(u * count + w if u <= w else w * count + u)
+    return (count, tuple(sorted(edges)), tuple(glued[v] for v in x),
+            tuple(glued[v] for v in y))
+
+
+def _tensor_key(b, a):
+    """Key of relative_tensor(b, a): b's last x-label glued to a's first."""
+    off = b[0]
+    return _glue_keys(b, a, [(b[2][-1], a[2][0] + off)],
+                      b[2] + tuple(v + off for v in a[2][1:]),
+                      b[3] + tuple(v + off for v in a[3][1:]))
+
+
+def _compose_key(k1, k2):
+    """Key of compose(k1, k2): k1's y-labels glued to k2's x-labels."""
+    off = k1[0]
+    return _glue_keys(k1, k2, [(u, v + off) for u, v in zip(k1[3], k2[2])],
+                      k1[2], tuple(v + off for v in k2[3]))
+
+
+def _layer_order(key):
+    nv, codes, x, y = key
+    return (nv, len(x), len(y), x, y, codes)
+
+
+def _layer_keys(size, vertex_cap, layer_cap):
+    """Keys of the relative tensor products of split cycles, deduplicated
+    and truncated by the vertex and member budgets, by breadth-first
+    search from the atoms.
 
     A relative tensor glues exactly one vertex, so its vertex and label
-    counts are known, and checked against the budgets, before it is
-    built.  A dict passed as `factors` receives each layer's pair (b, a)
-    with relative_tensor(b, a) equal to it, and None for each atom."""
-    atoms = [split_cycle(a, c - a)
+    counts are known, and checked against the budgets, before its key is
+    glued.  Returns the keys sorted by (vertex count, n, m, x, y, edges)
+    and a dict giving each key the pair (b, a) of keys whose relative
+    tensor it is, or None for an atom."""
+    atoms = [_blg_key(split_cycle(a, c - a))
              for c in range(2, size + 1) for a in range(c + 1)]
     cap = size + 1
 
     def ok(vertices, n, m):
         return vertices <= vertex_cap and n <= cap and m <= cap
 
-    if factors is None:
-        factors = {}
-    factors.update((a, None) for a in atoms
-                   if ok(a.graph.vertex_count, a.n, a.m))
+    factors = dict.fromkeys(a for a in atoms
+                            if ok(a[0], len(a[2]), len(a[3])))
     frontier = list(factors)
     while frontier and len(factors) < layer_cap:
         nxt = []
         for b in frontier:
             for a in atoms:
-                if not ok(b.graph.vertex_count + a.graph.vertex_count - 1,
-                          b.n + a.n - 1, b.m + a.m - 1):
+                if not ok(b[0] + a[0] - 1, len(b[2]) + len(a[2]) - 1,
+                          len(b[3]) + len(a[3]) - 1):
                     continue
-                cand = relative_tensor(b, a)
+                cand = _tensor_key(b, a)
                 if cand not in factors:
                     factors[cand] = (b, a)
                     nxt.append(cand)
         frontier = nxt
-    return sorted(factors, key=_sort_key)
+    return sorted(factors, key=_layer_order), factors
+
+
+def _layers(size, vertex_cap, layer_cap):
+    """The layers of _layer_keys as bi-labeled graphs, in its order."""
+    return [_key_blg(k) for k in _layer_keys(size, vertex_cap, layer_cap)[0]]
 
 
 # fiber_span_rank's budgets: layers have at most FIBER_LAYER_VERTICES
@@ -321,15 +372,30 @@ FIBER_PAIR_BUDGET = 30000
 FIBER_LETTER_BUDGET = 4096
 
 
-def _layer_matrix(k, spec, factors, matrices):
-    # the fiber matrix of layer k, memoized in `matrices`
-    if k not in matrices:
-        parts = factors[k]
-        matrices[k] = (fiber_matrix(k, spec).entries if parts is None
-                       else letter_tensor(
-                           _layer_matrix(parts[0], spec, factors, matrices),
-                           _layer_matrix(parts[1], spec, factors, matrices)))
-    return matrices[k]
+class _LayerMatrices:
+    """Fiber matrices of layer keys, each computed once from its factors'
+    (a method, not a recursive closure, so that no reference cycle keeps
+    them alive after the call); equal matrices share one index."""
+
+    def __init__(self, spec, factors):
+        self.spec = spec
+        self.factors = factors
+        self.tables = []      # the distinct matrices
+        self.distinct = {}    # frozenset of a matrix's items -> its index
+        self.index = {}       # layer key -> index of its matrix
+
+    def of(self, k):
+        if k not in self.index:
+            parts = self.factors[k]
+            mat = (fiber_matrix(_key_blg(k), self.spec).entries
+                   if parts is None
+                   else letter_tensor(self.tables[self.of(parts[0])],
+                                      self.tables[self.of(parts[1])]))
+            self.index[k] = self.distinct.setdefault(frozenset(mat.items()),
+                                                     len(self.tables))
+            if self.index[k] == len(self.tables):
+                self.tables.append(mat)
+        return self.index[k]
 
 
 def fiber_span_rank(spec, n, m):
@@ -337,48 +403,56 @@ def fiber_span_rank(spec, n, m):
 
     Candidates are the generated path-labeled graphs of arity (n, m):
     single layers plus compositions of two layers with matching middle
-    arity, in a deterministic order up to FIBER_PAIR_BUDGET pairs.
-    Homomorphisms are counted only for the split-cycle atoms; by the
-    fiber functor a layer's matrix is the letter_tensor of its factors'
-    and a composite's the product of its two layers'."""
+    arity, in a deterministic order up to FIBER_PAIR_BUDGET pairs.  Both
+    are handled as integer-coded keys, composites told apart by the key
+    glued from their layers' keys; a bi-labeled graph is built only for
+    the split-cycle atoms, the one place homomorphisms are counted.  By
+    the fiber functor a layer's matrix is the letter_tensor of its
+    factors' and a composite's the product of its two layers'; equal
+    layer matrices share one index, and each pair of indices is
+    multiplied once, since RatSpan.add skips a vector it has seen."""
+    if n < 0 or m < 0 or n + m == 0:
+        raise ValidationError("arities must be >= 0, not both 0")
     gens = spec.generator_elements()
     if len(gens) ** max(n, m) > FIBER_LETTER_BUDGET:
         raise BudgetExceeded("letter tuples exceed the budget")
-    factors = {}
-    layers = _layers(n + m, FIBER_LAYER_VERTICES, FIBER_LAYER_CAP, factors)
-    matrices = {}
+    layers, factors = _layer_keys(n + m, FIBER_LAYER_VERTICES,
+                                  FIBER_LAYER_CAP)
+    matrices = _LayerMatrices(spec, factors)
+    tables = matrices.tables
     span = RatSpan()
-    examined = 0
 
     def feed(vec):
-        nonlocal examined
-        examined += 1
         if vec:
             span.add(vec)
 
-    direct = [k for k in layers if k.n == n + 1 and k.m == m + 1]
+    direct = [k for k in layers if len(k[2]) == n + 1 and len(k[3]) == m + 1]
     for k in direct:
-        feed(_layer_matrix(k, spec, factors, matrices))
-    left = [k for k in layers if k.n == n + 1]
+        feed(tables[matrices.of(k)])
+    examined = len(direct)
+    left = [k for k in layers if len(k[2]) == n + 1]
     by_mid = {}
     for k in layers:
-        if k.m == m + 1:
-            by_mid.setdefault(k.n, []).append(k)
-    # composites are told apart by their equality keys, not built
-    seen = {equality_key(k) for k in direct}
+        if len(k[3]) == m + 1:
+            by_mid.setdefault(len(k[2]), []).append(k)
+    seen = set(direct)
+    multiplied = set()
     pairs = 0
     exhausted = True
     for l1 in left:
-        for l2 in by_mid.get(l1.m, []):
+        for l2 in by_mid.get(len(l1[3]), []):
             pairs += 1
             if pairs > FIBER_PAIR_BUDGET:
                 exhausted = False
                 break
-            cand = compose_key(l1, l2)
+            cand = _compose_key(l1, l2)
             if cand not in seen:
                 seen.add(cand)
-                feed(mat_mul(_layer_matrix(l1, spec, factors, matrices),
-                             _layer_matrix(l2, spec, factors, matrices)))
+                examined += 1
+                ij = (matrices.of(l1), matrices.of(l2))
+                if ij not in multiplied:
+                    multiplied.add(ij)
+                    feed(mat_mul(tables[ij[0]], tables[ij[1]]))
         if not exhausted:
             break
     return {"n": n, "m": m, "rank": span.rank, "layers": len(layers),

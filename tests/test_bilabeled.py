@@ -67,6 +67,24 @@ def test_compose_preserves_connected():
         done += 1
 
 
+def test_glue_map_numbers_classes_by_least_member():
+    rng = random.Random(9)
+    for _ in range(500):
+        nv = rng.randint(1, 12)
+        pairs = [(rng.randrange(nv), rng.randrange(nv))
+                 for _ in range(rng.randint(0, 8))]
+        # each vertex labeled by the least member of its class
+        least = list(range(nv))
+        for _ in range(nv):
+            for (a, b) in pairs:
+                low = min(least[a], least[b])
+                least = [low if c in (least[a], least[b]) else c
+                         for c in least]
+        number = {c: i for i, c in enumerate(sorted(set(least)))}
+        assert B._glue_map(nv, pairs) == ([number[c] for c in least],
+                                          len(number))
+
+
 def test_compose_key_is_the_composite_equality():
     rng = random.Random(8)
     pairs = []
@@ -77,7 +95,8 @@ def test_compose_key_is_the_composite_equality():
             pairs.append((k1, k2))
     composites = [B.compose(k1, k2) for k1, k2 in pairs]
     keys = [B.compose_key(k1, k2) for k1, k2 in pairs]
-    assert keys == [B.equality_key(k) for k in composites]
+    assert keys == [(k.graph.vertex_count, k.graph.edges, k.x, k.y)
+                    for k in composites]
     for a, ka in zip(composites, keys):
         for b, kb in zip(composites, keys):
             assert (ka == kb) == (a == b)

@@ -1,5 +1,8 @@
 """Tests for relation supports and fiber matrices on Cayley graphs."""
 
+import itertools
+import tracemalloc
+
 import pytest
 
 from qgs.bilabeled import BiLabeled, compose, relative_tensor
@@ -14,7 +17,8 @@ from qgs.quantization import (FIBER_LAYER_CAP, FIBER_LAYER_VERTICES,
                               is_path_labeled, letter_tensor,
                               noncrossing_even_count, relation_vectors,
                               signed_relation_vectors, split_cycle,
-                              triangle_xi, _layers)
+                              triangle_xi, _blg_key, _compose_key,
+                              _key_blg, _layer_keys, _layers)
 from qgs.ratmat import RatSpan
 
 
@@ -189,17 +193,75 @@ def test_fiber_relative_tensor(spec):
 
 
 def test_layer_factors_rebuild_each_layer():
-    factors = {}
-    layers = _layers(4, 10, 400, factors)
-    assert layers == _layers(4, 10, 400)
-    assert set(factors) == set(layers)
-    atoms = [k for k in layers if factors[k] is None]
+    keys, factors = _layer_keys(4, 10, 400)
+    assert set(factors) == set(keys)
+    atoms = [k for k in keys if factors[k] is None]
     assert len(atoms) == 12
-    for k in layers:
+    for k in keys:
+        assert _blg_key(_key_blg(k)) == k
         if factors[k] is not None:
             b, a = factors[k]
             assert factors[a] is None
-            assert relative_tensor(b, a) == k
+            assert relative_tensor(_key_blg(b), _key_blg(a)) == _key_blg(k)
+
+
+def _reference_order(k):
+    return (k.graph.vertex_count, k.n, k.m, k.x, k.y,
+            tuple(sorted(k.graph.undirected_edges())))
+
+
+def reference_layers(size, vertex_cap, layer_cap):
+    """_layers by breadth-first search on bi-labeled graphs, every
+    candidate built by relative_tensor."""
+    atoms = [split_cycle(a, c - a)
+             for c in range(2, size + 1) for a in range(c + 1)]
+    cap = size + 1
+
+    def ok(vertices, n, m):
+        return vertices <= vertex_cap and n <= cap and m <= cap
+
+    found = dict.fromkeys(a for a in atoms
+                          if ok(a.graph.vertex_count, a.n, a.m))
+    frontier = list(found)
+    while frontier and len(found) < layer_cap:
+        nxt = []
+        for b in frontier:
+            for a in atoms:
+                if not ok(b.graph.vertex_count + a.graph.vertex_count - 1,
+                          b.n + a.n - 1, b.m + a.m - 1):
+                    continue
+                cand = relative_tensor(b, a)
+                if cand not in found:
+                    found[cand] = None
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(found, key=_reference_order)
+
+
+@pytest.mark.parametrize("size, vertex_cap, layer_cap, count",
+                         [(4, 10, 400, 233), (6, 12, 3000, 6096)])
+def test_layers_match_the_object_reference(size, vertex_cap, layer_cap,
+                                           count):
+    layers = _layers(size, vertex_cap, layer_cap)
+    assert len(layers) == count
+    assert layers == reference_layers(size, vertex_cap, layer_cap)
+
+
+def test_composite_keys_match_compose():
+    # every 7th of the first FIBER_PAIR_BUDGET pairs tried at (3, 3)
+    keys, _ = _layer_keys(6, FIBER_LAYER_VERTICES, FIBER_LAYER_CAP)
+    right = [k for k in keys if len(k[3]) == 4]
+    pairs = itertools.islice(((l1, l2) for l1 in keys if len(l1[2]) == 4
+                              for l2 in right if len(l2[2]) == len(l1[3])),
+                             0, FIBER_PAIR_BUDGET, 7)
+    checked = 0
+    for l1, l2 in pairs:
+        whole = compose(_key_blg(l1), _key_blg(l2))
+        key = _compose_key(l1, l2)
+        assert _key_blg(key) == whole
+        assert key == _blg_key(whole)    # equal keys, equal composites
+        checked += 1
+    assert checked == (FIBER_PAIR_BUDGET + 6) // 7
 
 
 def test_fiber_matrix_export(involutions4):
@@ -288,6 +350,25 @@ def hom_counted_span_rank(spec, n, m):
 def test_span_rank_matches_hom_counting(n, m):
     spec = free_product_cyclic_group([2, 2, 2])
     assert fiber_span_rank(spec, n, m) == hom_counted_span_rank(spec, n, m)
+
+
+@pytest.mark.parametrize("n, m", [(-1, 1), (1, -1), (0, 0)])
+def test_span_rank_rejects_arities_it_cannot_answer(n, m):
+    with pytest.raises(ValidationError):
+        fiber_span_rank(free_product_cyclic_group([2, 2]), n, m)
+
+
+def test_span_rank_memory_stays_on_keys():
+    # a bi-labeled graph per layer and a frozenset of edges per composite
+    # key peak at about 41 MB here; integer-coded keys at about 10 MB
+    spec = free_product_cyclic_group([2, 2, 2])
+    tracemalloc.start()
+    try:
+        assert fiber_span_rank(spec, 3, 3)["rank"] == 12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_span_rank_respects_partition_bound(involutions4):
