@@ -10,6 +10,9 @@ live here.
 
 from collections import deque
 from itertools import combinations
+from numbers import Integral
+
+import numpy as np
 
 DEFAULT_VERTEX_BUDGET = 100_000
 DEFAULT_AUT_LIMIT = 10
@@ -320,6 +323,11 @@ def finite_table_group(mul, generators=None):
     for row in mul:
         if len(row) != n:
             raise ValidationError("multiplication table not square")
+    if not all(isinstance(c, Integral) and 0 <= c < n
+               for row in mul for c in row):
+        raise ValidationError("table entries must be integers in 0..%d"
+                              % (n - 1))
+    table = np.array(mul, dtype=np.intp).reshape(n, n)
     identity = None
     for e in range(n):
         if all(mul[e][a] == a and mul[a][e] == a for a in range(n)):
@@ -334,6 +342,15 @@ def finite_table_group(mul, generators=None):
                 inv[a] = b
     if len(inv) != n:
         raise ValidationError("table has non-invertible elements")
+    # (ab)c = a(bc), one row a at a time: both sides as n x n arrays
+    # indexed by (b, c)
+    for a in range(n):
+        bad = np.argwhere(table[table[a]] != table[a][table])
+        if len(bad):
+            b, c = bad[0].tolist()
+            raise ValidationError(
+                "table is not associative: (%d*%d)*%d != %d*(%d*%d)"
+                % (a, b, c, a, b, c))
     if generators is None:
         generators = [a for a in range(n) if a != identity]
     gens = [("g%d" % a, a) for a in generators]

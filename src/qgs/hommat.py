@@ -5,12 +5,15 @@ pair (i,j) of label-image tuples, the graph homomorphisms K -> target
 pinning x to i and y to j.  Each kind of target has one counting
 kernel.
 
-Finite targets: `hom_rows` enumerates every homomorphism of a pattern
-at once, as a join over the target's neighbour arrays with one row per
-map, in the lexicographic order of the images along the search order.
-`hom_matrix` reads the complete sparse matrix off the rows' label
-columns, and `pinned_pair_counts` the counts at every pair of pins off
-bincounts of two columns.
+Finite targets: `PatternTrie.rows` enumerates every homomorphism of
+each pattern of a list at once, as a join over the target's neighbour
+arrays with one row per map, in the lexicographic order of the images
+along the pattern's search order.  The patterns' join steps form a
+prefix trie walked depth first, so a step shared by several patterns
+is joined once, and the target's arrays are built once per walk.
+`hom_rows` is the walk of one pattern.  `hom_matrix` reads the complete
+sparse matrix off the rows' label columns, and `pinned_pair_counts` the
+counts at every pair of pins off bincounts of two columns.
 
 Locally finite providers: `hom_matrix_windowed` pins the labels of one
 side to each tuple of a window and counts with a plan compiled once per
@@ -121,55 +124,131 @@ def _csr(target):
     return indptr, indices, adj
 
 
+class _Node:
+    """A node of a PatternTrie: the join steps from the root to it are
+    a prefix of the search order of every pattern below it.
+
+    `depth` is the number of vertices assigned on reaching it, `width`
+    the vertex count of the largest pattern below it (the width of its
+    rows), `ends` the (index, rank) of each pattern whose last step it
+    is, with rank[v] the position of vertex v in the search order, and
+    `kids` the (key, node) of each next step, in insertion order."""
+
+    __slots__ = ("depth", "width", "ends", "kids")
+
+    def __init__(self, depth):
+        self.depth, self.width, self.ends, self.kids = depth, 0, [], []
+
+
+class PatternTrie:
+    """A list of patterns as a prefix trie of their join steps.
+
+    A pattern's steps follow `_search_order(pattern, [])`.  The step of
+    vertex v is keyed by the search positions of its earlier neighbours
+    in `pattern.neighbors(v)` order, the first of which is the anchor
+    it expands from, and by whether v is looped; the rows after a step
+    depend on nothing else.  Patterns whose first k keys agree share
+    their first k steps."""
+
+    def __init__(self, patterns):
+        self.root = _Node(0)
+        for index, pattern in enumerate(patterns):
+            n = pattern.vertex_count
+            order = _search_order(pattern, [])
+            rank = [0] * n
+            for i, v in enumerate(order):
+                rank[v] = i
+            node = self.root
+            node.width = max(node.width, n)
+            for i, v in enumerate(order):
+                key = (tuple(rank[w] for w in pattern.neighbors(v)
+                             if rank[w] < i), pattern.has_edge(v, v))
+                child = next((c for k, c in node.kids if k == key), None)
+                if child is None:
+                    child = _Node(i + 1)
+                    node.kids.append((key, child))
+                node = child
+                node.width = max(node.width, n)
+            node.ends.append((index, np.array(rank, dtype=np.intp)))
+
+    def rows(self, target, budget_bytes):
+        """Yield (index, rows) for every pattern, depth first: rows
+        holds every homomorphism of patterns[index] into the finite
+        graph `target`, one row per map, and column v the image of
+        pattern vertex v (int32).
+
+        Each step extends every row of its parent by the target
+        neighbours of its anchor's image, keeps the candidates adjacent
+        to the images of its other earlier neighbours, and on a looped
+        vertex only looped candidates; a vertex with no earlier
+        neighbour takes every target vertex.  The rows of a pattern are
+        thus in the lexicographic order of their images along its
+        search order.  A step knows its number of candidate rows before
+        it allocates: with its index arrays, a candidate takes `width`
+        int32 images and four intp words.  Raises BudgetExceeded when
+        that, plus the rows kept for ancestors with steps still to
+        take, exceeds budget_bytes."""
+        q = target.vertex_count
+        indptr, indices, adj = _csr(target)
+        root = self.root
+        rows = np.zeros((1, root.width), dtype=np.int32)
+        for index, rank in root.ends:
+            yield index, rows[:, rank]
+        # ancestors with steps still to take: [rows, kids, next kid]
+        frames = [[rows, root.kids, 0]] if root.kids else []
+        while frames:
+            frame = frames[-1]
+            parent, kids, i = frame
+            frame[2] = i + 1
+            if i + 1 == len(kids):
+                frames.pop()
+            (anchors, loop), node = kids[i]
+            if anchors:
+                first = parent[:, anchors[0]]
+                deg = indptr[first + 1] - indptr[first]
+                total = int(deg.sum())
+            else:
+                total = len(parent) * q
+            need = (total * (node.width * 4 + 4 * np.intp(0).itemsize)
+                    + sum(f[0].nbytes for f in frames))
+            if need > budget_bytes:
+                raise BudgetExceeded(
+                    "the homomorphism rows of a %d-vertex pattern on %d "
+                    "vertices need %d bytes, over the signature budget of "
+                    "%d bytes" % (node.width, q, need, budget_bytes))
+            if anchors:
+                src = np.repeat(np.arange(len(parent)), deg)
+                start = indptr[first] - (np.cumsum(deg) - deg)
+                new = indices[np.arange(total) + np.repeat(start, deg)]
+            else:
+                src = np.repeat(np.arange(len(parent)), q)
+                new = np.tile(np.arange(q), len(parent))
+            if len(anchors) > 1 or loop:
+                keep = np.ones(total, dtype=bool)
+                for a in anchors[1:]:
+                    keep &= adj[new, parent[src, a]]
+                if loop:
+                    keep &= adj[new, new]
+                src, new = src[keep], new[keep]
+            rows = parent[src, :node.width]
+            rows[:, node.depth - 1] = new
+            # the last kid's parent rows are freed here, and this step's
+            # index arrays before the next step allocates
+            parent = frame = first = deg = start = src = new = keep = None
+            for index, rank in node.ends:
+                yield index, rows[:, rank]
+            if node.kids:
+                frames.append([rows, node.kids, 0])
+            rows = None
+
+
 def hom_rows(pattern, target, budget_bytes):
     """Every homomorphism of the graph `pattern` into the finite graph
     `target`, one row per map; column v holds the image of pattern
-    vertex v (int32).
-
-    The rows are built by a join in `_search_order`: each step extends
-    every row by the target neighbours of the image of the vertex's
-    first earlier neighbour (its first anchor), keeps the candidates
-    adjacent to the images of its other anchors, and on a looped vertex
-    only looped candidates.  A vertex with no earlier neighbour takes
-    every target vertex.  Each step knows its number of candidate rows
-    before it allocates: with its index arrays, a candidate takes n
-    int32 images and four intp words.  Raises BudgetExceeded when a
-    step would take more than budget_bytes."""
-    n = pattern.vertex_count
-    q = target.vertex_count
-    indptr, indices, adj = _csr(target)
-    rows = np.zeros((1, n), dtype=np.int32)
-    assigned = set()
-    for v in _search_order(pattern, []):
-        anchors = [w for w in pattern.neighbors(v) if w in assigned]
-        if anchors:
-            first = rows[:, anchors[0]]
-            deg = indptr[first + 1] - indptr[first]
-            total = int(deg.sum())
-        else:
-            total = len(rows) * q
-        need = total * (n * rows.itemsize + 4 * np.intp(0).itemsize)
-        if need > budget_bytes:
-            raise BudgetExceeded(
-                "the homomorphism rows of a %d-vertex pattern on %d "
-                "vertices need %d bytes, over the signature budget of %d "
-                "bytes" % (n, q, need, budget_bytes))
-        if anchors:
-            src = np.repeat(np.arange(len(rows)), deg)
-            start = indptr[first] - (np.cumsum(deg) - deg)
-            new = indices[np.arange(total) + np.repeat(start, deg)]
-        else:
-            src = np.repeat(np.arange(len(rows)), q)
-            new = np.tile(np.arange(q), len(rows))
-        keep = np.ones(total, dtype=bool)
-        for w in anchors[1:]:
-            keep &= adj[new, rows[src, w]]
-        if pattern.has_edge(v, v):
-            keep &= adj[new, new]
-        rows = rows[src[keep]]
-        rows[:, v] = new[keep]
-        assigned.add(v)
-    return rows
+    vertex v (int32).  The one-pattern case of `PatternTrie.rows`: its
+    steps form a chain, so a step's budget check counts its own rows
+    alone."""
+    return next(PatternTrie([pattern]).rows(target, budget_bytes))[1]
 
 
 def hom_matrix(k, target, budget_bytes):
@@ -187,15 +266,14 @@ def hom_matrix(k, target, budget_bytes):
                           counts[order].tolist())})
 
 
-def pinned_pair_counts(pattern, target, budget_bytes):
-    """Pinned counts of `pattern` in the finite `target` at every pair
-    of pins: counts[x1, x2, i * q + j] is the number of homomorphisms
-    mapping x1 to i and x2 to j, the entry ((i, j), (i, j)) of
-    hom_matrix(BiLabeled(pattern, (x1, x2), (x1, x2)), target).  One
-    enumeration (`hom_rows`) serves every pair of pins."""
-    n = pattern.vertex_count
-    q = target.vertex_count
-    rows = hom_rows(pattern, target, budget_bytes)
+def pinned_pair_counts(rows, q):
+    """Pinned counts at every pair of pins, read off the homomorphism
+    rows of an n-vertex pattern into a q-vertex target (`hom_rows`, or
+    one pattern's rows from `PatternTrie.rows`): counts[x1, x2, i * q
+    + j] is the number of homomorphisms mapping x1 to i and x2 to j,
+    the entry ((i, j), (i, j)) of hom_matrix(BiLabeled(pattern, (x1,
+    x2), (x1, x2)), target)."""
+    n = rows.shape[1]
     counts = np.zeros((n, n, q * q), dtype=np.int64)
     for x1 in range(n):
         left = rows[:, x1].astype(np.int64) * q

@@ -9,8 +9,8 @@ mu, and conjugate solutions for the duality equations.
 The path projections, the Lambda-projections and the edge substitution
 that evaluates a pointed planar pattern with matrix-valued edges are
 weighted homomorphism sums over a finite graph.  Like the seeds, they
-are read off the rows of `hommat.hom_rows`, the one finite counting
-kernel.
+are read off homomorphism rows of the one finite counting kernel, the
+join of `hommat.PatternTrie` (`hommat.hom_rows` for one pattern).
 
 Two engines cooperate.  A function engine works at arities (0,0) and
 (1,1), where every span element is a function on vertices or on vertex
@@ -383,8 +383,10 @@ def _coherent_atoms(graph):
     The seeds are the diagonal and the pinned count of every planar
     pattern on at most GADGET_VERTICES vertices at every pair of pins.
     Each pair starts coloured by its values under every seed (folded
-    pattern by pattern, so only one pattern's counts are held at a
-    time) and is refined by 2-dimensional Weisfeiler-Leman,
+    pattern by pattern as one walk of quantiso.pattern_trie yields
+    their homomorphism rows, so only one pattern's counts are held at a
+    time; the order of the folds does not change the partition) and is
+    refined by 2-dimensional Weisfeiler-Leman,
     c'(u, v) = (c(u, v), c(v, u), multiset of (c(u, w), c(w, v))),
     until the number of colours stops growing.  Starting from every
     seed matters: a pattern with two pins can separate pairs that the
@@ -392,8 +394,8 @@ def _coherent_atoms(graph):
 
     Pairs are flat indices u * q + v throughout.  Raises
     BudgetExceeded, before allocating, when a round's q^3 keys and
-    their sorted copy or a pattern's homomorphism rows would take more
-    than quantiso.SIGNATURE_BUDGET_BYTES."""
+    their sorted copy or a join step of the walk would take more than
+    quantiso.SIGNATURE_BUDGET_BYTES."""
     q = graph.vertex_count
     budget = quantiso.SIGNATURE_BUDGET_BYTES
     need = 2 * q ** 3 * 8
@@ -404,11 +406,11 @@ def _coherent_atoms(graph):
     if q == 0:
         return []
     colour = np.eye(q, dtype=np.int64).reshape(-1)
-    for pattern in quantiso.planar_patterns(GADGET_VERTICES):
-        n = pattern.vertex_count
-        counts = pinned_pair_counts(pattern, graph, budget)
-        colour = _classes(np.column_stack(
-            [colour, counts.reshape(n * n, q * q).T]))
+    trie = quantiso.pattern_trie(GADGET_VERTICES)
+    for _j, rows in trie.rows(graph, budget):
+        counts = pinned_pair_counts(rows, q).reshape(-1, q * q)
+        rows = None     # freed before the walk's next join
+        colour = _classes(np.column_stack([colour, counts.T]))
     count = colour.max() + 1
     # row (u, v) of the table: c(u, v), c(v, u), then the keys
     # (c(u, w), c(w, v)) as one integer each, sorted over w

@@ -6,8 +6,9 @@ refined into classes by their full vector of pointed counts; the graphs
 are indistinguishable at a given depth when there is a bijection of
 classes matching every count vector, and distinguished when some pointed
 pattern separates them, in which case a reproducible witness is
-returned.  Every count is read off the rows of `hommat.hom_rows`, one
-enumeration per pattern, under SIGNATURE_BUDGET_BYTES.
+returned.  Every count is read off the homomorphism rows of one walk of
+the patterns' prefix trie (`hommat.PatternTrie`), one join per shared
+prefix of their join steps, under SIGNATURE_BUDGET_BYTES.
 
 A bounded-depth relation check compares the rational linear relations
 satisfied by the homomorphism matrices of a canonical pattern family on
@@ -23,13 +24,14 @@ from networkx.generators.atlas import _generate_graphs
 
 from .graphs import FiniteGraph, ValidationError, classical_aut
 from .bilabeled import BiLabeled
-from .hommat import hom_matrix, hom_rows
+from .hommat import PatternTrie, hom_matrix, hom_rows
 from .ratmat import RatSpan
 
 ATLAS_LIMIT = 7
 
 _pattern_cache = {}
 _pointed_cache = {}
+_trie_cache = {}
 
 
 def planar_patterns(depth):
@@ -70,9 +72,17 @@ def pointed_patterns(depth):
     return _pointed_cache[depth]
 
 
-# Bytes one join step of `hommat.hom_rows` may take for the counts here
-# and in the finite function engine; a step over it raises
-# BudgetExceeded before it allocates.
+def pattern_trie(depth):
+    """The PatternTrie of planar_patterns(depth), built once per depth."""
+    if depth not in _trie_cache:
+        _trie_cache[depth] = PatternTrie(planar_patterns(depth))
+    return _trie_cache[depth]
+
+
+# Bytes one join step of `hommat.PatternTrie.rows` may take, with the
+# rows the walk keeps for later steps, for the counts here and in the
+# finite function engine; a step over it raises BudgetExceeded before it
+# allocates.
 SIGNATURE_BUDGET_BYTES = 1 << 29
 
 
@@ -88,19 +98,24 @@ def count_signatures(g, depth):
     """Vector of pointed planar homomorphism counts for every vertex.
 
     Coordinate k of each vector is the count of pointed_patterns(depth)[k],
-    a bincount of the basepoint's column of hom_rows(pattern, g).  Raises
-    BudgetExceeded, before the step's allocation, when a join step of
-    hom_rows would take more than SIGNATURE_BUDGET_BYTES."""
+    a bincount of the basepoint's column of the pattern's homomorphism
+    rows.  One walk of pattern_trie(depth) gives the rows of every
+    pattern, with one join per shared prefix of their join steps.
+    Raises BudgetExceeded, before the step's allocation, when a join
+    step would take more than SIGNATURE_BUDGET_BYTES with the rows the
+    walk keeps for later steps."""
     q = g.vertex_count
-    columns = []
-    last = None
-    for pattern, base in pointed_patterns(depth):
-        if pattern is not last:     # consecutive entries share a pattern
-            rows = None     # so the last rows are freed before the join
-            rows = hom_rows(pattern, g, SIGNATURE_BUDGET_BYTES)
-            last = pattern
-        columns.append(np.bincount(rows[:, base], minlength=q).tolist())
-    return {v: tuple(sig) for v, sig in enumerate(zip(*columns))}
+    entries = pointed_patterns(depth)
+    position = {id(p): j for j, p in enumerate(planar_patterns(depth))}
+    bases = [[] for _ in position]
+    for k, (pattern, base) in enumerate(entries):
+        bases[position[id(pattern)]].append((k, base))
+    columns = np.empty((len(entries), q), dtype=np.int64)
+    for j, rows in pattern_trie(depth).rows(g, SIGNATURE_BUDGET_BYTES):
+        for k, base in bases[j]:
+            columns[k] = np.bincount(rows[:, base], minlength=q)
+        rows = None     # freed before the walk's next join
+    return {v: tuple(sig) for v, sig in enumerate(columns.T.tolist())}
 
 
 def _classes(signatures):

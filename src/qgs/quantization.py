@@ -59,12 +59,31 @@ class RelationSupport:
             self.n, len(self.support), eps)
 
 
+def _products(spec, letters):
+    """(word, product) for every word over the letter sets, in the
+    lexicographic order of itertools.product, each product extending
+    its prefix's by one multiplication."""
+    words = [((), spec.identity)]
+    for choices in letters:
+        words = [(w + (s,), spec.multiply(p, s)) for w, p in words
+                 for s in choices]
+    return words
+
+
 def _enumerate_support(spec, letters):
-    support = []
-    for t in itertools.product(*letters):
-        if spec.word(t) == spec.identity:
-            support.append(t)
-    return support
+    """The words over the letter sets whose product is the identity, in
+    the lexicographic order of itertools.product.
+
+    Meet in the middle: the word splits after h = n // 2 letters, and a
+    prefix p pairs with the suffixes whose product is the inverse of
+    p's.  This needs the group law to be associative, which
+    `finite_table_group` checks for tables."""
+    h = len(letters) // 2
+    suffixes = {}
+    for w, p in _products(spec, letters[h:]):
+        suffixes.setdefault(p, []).append(w)
+    return [w + v for w, p in _products(spec, letters[:h])
+            for v in suffixes.get(spec.inverse(p), ())]
 
 
 def relation_vectors(spec, n_max):

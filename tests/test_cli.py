@@ -369,6 +369,18 @@ def test_quantize_supports(files, capsys):
     assert doc["config"] == {"nmax": 3, "out": None}
 
 
+def test_quantize_rejects_a_non_associative_table(capsys, tmp_path):
+    mul = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    mul[1][1] = 3       # (1*1)*2 = 1 but 1*(1*2) = 0
+    grp = tmp_path / "table.json"
+    grp.write_text(json.dumps({"type": "finite_table", "mul": mul}))
+    code, doc, err = run(capsys, ["quantize", "--group", str(grp),
+                                  "--nmax", "3"])
+    assert code == 1
+    assert doc is None
+    assert "not associative" in err
+
+
 def test_malformed_graph_cites_line(files, capsys, tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("finite 3\nedg 0 1\n")

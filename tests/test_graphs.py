@@ -138,6 +138,26 @@ def test_cayley_rejects_identity_generator():
         G.cayley_graph(spec)
 
 
+def z4_with_a_non_associative_square():
+    # identity 0 and inverses are kept, but (1*1)*2 = 1 and 1*(1*2) = 0
+    mul = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    mul[1][1] = 3
+    return mul
+
+
+def test_finite_table_rejects_a_non_associative_table():
+    with pytest.raises(G.ValidationError,
+                       match=r"not associative: \(1\*1\)\*2 != 1\*\(1\*2\)"):
+        G.finite_table_group(z4_with_a_non_associative_square())
+
+
+@pytest.mark.parametrize("mul", [[[0, 1], [1, 2]], [[0, 1.0], [1, 0]],
+                                 [[0, -1], [1, 0]]])
+def test_finite_table_rejects_entries_outside_the_elements(mul):
+    with pytest.raises(G.ValidationError, match="integers in 0..1"):
+        G.finite_table_group(mul)
+
+
 def test_free_product_z2_cubed_tree():
     p = G.cayley_graph(G.free_product_cyclic_group([2, 2, 2]))
     assert p.degree(p.base_vertex) == 3

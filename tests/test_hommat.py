@@ -14,7 +14,8 @@ from qgs import hommat as H
 from qgs import graphs as G
 from qgs import morspace as M
 from qgs.graphs import FiniteGraph, cycle_graph, path_graph
-from qgs.quantiso import SIGNATURE_BUDGET_BYTES, planar_patterns
+from qgs.quantiso import (SIGNATURE_BUDGET_BYTES, pattern_trie,
+                          planar_patterns, pointed_patterns)
 
 
 def random_blg(rng, max_v=4, max_lab=3, require=None):
@@ -130,7 +131,8 @@ def loopy_targets(draw):
 def test_pinned_pair_counts_match_backtracking(g):
     q = g.vertex_count
     for pat in planar_patterns(4):
-        counts = H.pinned_pair_counts(pat, g, SIGNATURE_BUDGET_BYTES)
+        counts = H.pinned_pair_counts(
+            H.hom_rows(pat, g, SIGNATURE_BUDGET_BYTES), q)
         for x1, x2 in itertools.product(range(pat.vertex_count), repeat=2):
             want = [0] * (q * q)
             for i, j in itertools.product(range(q), repeat=2):
@@ -164,6 +166,132 @@ def test_hom_rows_budget():
     with pytest.raises(G.BudgetExceeded,
                        match="signature budget of %d" % (need - 1)):
         H.hom_rows(path, k4, need - 1)
+
+
+def reference_hom_rows(pattern, target):
+    """Reference: the one-pattern join loop, rows built at the pattern's
+    full width with column v the image of vertex v."""
+    n = pattern.vertex_count
+    q = target.vertex_count
+    indptr, indices, adj = H._csr(target)
+    rows = np.zeros((1, n), dtype=np.int32)
+    assigned = set()
+    for v in H._search_order(pattern, []):
+        anchors = [w for w in pattern.neighbors(v) if w in assigned]
+        if anchors:
+            first = rows[:, anchors[0]]
+            deg = indptr[first + 1] - indptr[first]
+            total = int(deg.sum())
+            src = np.repeat(np.arange(len(rows)), deg)
+            start = indptr[first] - (np.cumsum(deg) - deg)
+            new = indices[np.arange(total) + np.repeat(start, deg)]
+        else:
+            total = len(rows) * q
+            src = np.repeat(np.arange(len(rows)), q)
+            new = np.tile(np.arange(q), len(rows))
+        keep = np.ones(total, dtype=bool)
+        for w in anchors[1:]:
+            keep &= adj[new, rows[src, w]]
+        if pattern.has_edge(v, v):
+            keep &= adj[new, new]
+        rows = rows[src[keep]]
+        rows[:, v] = new[keep]
+        assigned.add(v)
+    return rows
+
+
+def walk_targets():
+    rng = random.Random(34)
+    targets = []
+    for n in (6, 7, 8):
+        edges = [e for e in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.5]
+        targets.append(FiniteGraph(n, edges))
+    # two components and an isolated vertex; loops on some vertices
+    targets.append(FiniteGraph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]))
+    targets.append(FiniteGraph(6, [(0, 0), (0, 1), (1, 2), (2, 2), (2, 3),
+                                   (3, 4), (4, 5), (5, 5), (1, 4)]))
+    return targets
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+def test_trie_walk_matches_the_one_pattern_join(depth):
+    # every pattern of the catalogue, and so every entry of
+    # pointed_patterns(depth), once, with the reference's rows in order
+    patterns = planar_patterns(depth)
+    assert {id(p) for p, _base in pointed_patterns(depth)} <= set(
+        map(id, patterns))
+    for target in walk_targets():
+        seen = []
+        for j, rows in pattern_trie(depth).rows(target,
+                                                SIGNATURE_BUDGET_BYTES):
+            seen.append(j)
+            want = reference_hom_rows(patterns[j], target)
+            assert rows.dtype == want.dtype
+            assert np.array_equal(rows, want)
+            assert np.array_equal(H.hom_rows(patterns[j], target,
+                                             SIGNATURE_BUDGET_BYTES), want)
+        assert sorted(seen) == list(range(len(patterns)))
+
+
+def test_trie_walk_outside_the_catalogue():
+    # the empty pattern, isolated and looped vertices, and components
+    # that start a new search with no anchor after the first vertex
+    patterns = [FiniteGraph(0, []), FiniteGraph(1, []),
+                FiniteGraph(1, [(0, 0)]), FiniteGraph(2, []),
+                FiniteGraph(3, [(0, 0), (1, 2)]),
+                FiniteGraph(4, [(0, 1), (2, 3), (3, 3)])]
+    for target in (FiniteGraph(0, []), FiniteGraph(4, [(1, 1), (2, 3)]),
+                   FiniteGraph(3, [(0, 0), (0, 1), (1, 2)])):
+        got = dict(H.PatternTrie(patterns).rows(target, 1 << 20))
+        for j, pattern in enumerate(patterns):
+            want = reference_hom_rows(pattern, target)
+            assert got[j].shape == want.shape
+            assert np.array_equal(got[j], want)
+
+
+def test_trie_joins_each_shared_prefix_once():
+    # the 129 patterns on at most 6 vertices take 727 join steps one by
+    # one, and 191 distinct prefixes of steps
+    patterns = planar_patterns(6)
+    assert sum(p.vertex_count for p in patterns) == 727
+    todo, nodes = [pattern_trie(6).root], 0
+    while todo:
+        node = todo.pop()
+        nodes += len(node.kids)
+        todo.extend(kid for _key, kid in node.kids)
+    assert nodes == 191
+
+
+def test_trie_walk_budget_counts_rows_kept_for_later_steps():
+    # the path 0-1-2 and the star centred at 0 share their first two
+    # steps; on K4 the third step of each has 12 * 3 candidates of
+    # 3 * 4 + 4 * 8 bytes, and while the path's is taken the 12 shared
+    # rows of 3 int32 images are kept for the star's
+    path = FiniteGraph(3, [(0, 1), (1, 2)])
+    star = FiniteGraph(3, [(0, 1), (0, 2)])
+    k4 = FiniteGraph(4, list(itertools.combinations(range(4), 2)))
+    step = 36 * (3 * 4 + 4 * np.intp(0).itemsize)
+    trie = H.PatternTrie([path, star])
+    assert [j for j, _rows in trie.rows(k4, step + 12 * 3 * 4)] == [0, 1]
+    with pytest.raises(G.BudgetExceeded,
+                       match="signature budget of %d" % (step + 143)):
+        list(trie.rows(k4, step + 12 * 3 * 4 - 1))
+    # a chain keeps no rows for later: one pattern needs its own step
+    assert len(H.hom_rows(path, k4, step)) == 36
+
+
+def test_trie_walk_stopped_by_the_budget_partway():
+    # on K8 the small patterns pass and a 6-vertex step does not
+    k8 = FiniteGraph(8, list(itertools.combinations(range(8), 2)))
+    budget = 1 << 20
+    walk = pattern_trie(6).rows(k8, budget)
+    done = []
+    with pytest.raises(G.BudgetExceeded,
+                       match="over the signature budget of %d" % budget):
+        for j, _rows in walk:
+            done.append(j)
+    assert 0 < len(done) < len(planar_patterns(6))
 
 
 def test_tensor_and_transpose_functoriality():

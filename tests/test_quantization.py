@@ -7,8 +7,8 @@ import pytest
 
 from qgs.bilabeled import BiLabeled, compose, relative_tensor
 from qgs.graphs import (BudgetExceeded, FiniteGraph, ValidationError,
-                        cyclic_group, free_group, free_product_cyclic_group,
-                        integers_group)
+                        cyclic_group, finite_table_group, free_group,
+                        free_product_cyclic_group, integers_group)
 from qgs.quantization import (FIBER_LAYER_CAP, FIBER_LAYER_VERTICES,
                               FIBER_PAIR_BUDGET, FiberMatrix,
                               cyclic_rotation_report, fiber_matrix,
@@ -18,6 +18,7 @@ from qgs.quantization import (FIBER_LAYER_CAP, FIBER_LAYER_VERTICES,
                               noncrossing_even_count, relation_vectors,
                               signed_relation_vectors, split_cycle,
                               triangle_xi, _blg_key, _compose_key,
+                              _enumerate_support,
                               _key_blg, _layer_keys, _layers)
 from qgs.ratmat import RatSpan
 
@@ -83,6 +84,31 @@ def test_signed_triple_support_matches_relators():
     out = signed_relation_vectors(spec, 3, gens=[1])
     by_eps = {rs.epsilon: rs for rs in out if rs.n == 3}
     assert by_eps[(1, 1, 1)].support == {(1, 1, 1)}
+
+
+def s3_table():
+    """The symmetric group on 3 points as a table of permutations."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return finite_table_group(
+        [[index[tuple(p[i] for i in r)] for r in perms] for p in perms])
+
+
+@pytest.mark.parametrize("spec", [
+    free_product_cyclic_group([2, 2, 2]), free_product_cyclic_group([3, 0]),
+    cyclic_group(5), free_group(2), s3_table()],
+    ids=["Z2*Z2*Z2", "Z3*Z", "Z5", "F2", "S3 table"])
+def test_supports_match_the_full_product(spec):
+    # meet in the middle lists the same words in the same order as
+    # testing every word of itertools.product, for plain and
+    # alternating-sign letters
+    f = spec.generator_elements()
+    f_inv = [spec.inverse(s) for s in f]
+    for n in range(7):
+        for letters in ([f] * n, [f if k % 2 else f_inv for k in range(n)]):
+            want = [t for t in itertools.product(*letters)
+                    if spec.word(t) == spec.identity]
+            assert _enumerate_support(spec, letters) == want
 
 
 def test_triangle_xi():
